@@ -135,22 +135,8 @@ def cmd_eval(args) -> int:
     if not ckpt.is_file():
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
         return 2
-    taskfile = Path(args.task)
-    if not taskfile.is_file():
-        print(f"error: task file not found: {taskfile}", file=sys.stderr)
-        return 2
-    try:
-        doc = json.loads(taskfile.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: {taskfile}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-    task_sec = doc.get("task", doc)
-    try:
-        task = gen_task(int(task_sec["n_skills"]), int(task_sec["d"]),
-                        int(task_sec["n_samples"]), int(task_sec["seed"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: invalid task spec in {taskfile}: {exc}", file=sys.stderr)
-        return 2
+    spec = load_config(args.task).task
+    task = gen_task(spec.n_skills, spec.d, spec.n_samples, spec.seed)
 
     model = load_model(ckpt)
     accuracy, stats, _ = evaluate(model, task.tokens, task.labels)
@@ -308,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_base)
     p_base.set_defaults(handler=cmd_baseline)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a task spec")
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the task of a config file")
     p_eval.add_argument("checkpoint")
-    p_eval.add_argument("task")
+    p_eval.add_argument("task", help="config file; its task section (or the defaults) is used")
     p_eval.add_argument("--out", type=str, default=None)
     p_eval.set_defaults(handler=cmd_eval)
 

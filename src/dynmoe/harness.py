@@ -26,6 +26,8 @@ from .losses import AuxLossReport, diversity_simplicity_loss, get_plugin
 from .moe_layer import (
     ExpertMlp,
     MoeLayer,
+    _dispatch,
+    _pairs_backward,
     layer_from_doc,
     layer_to_doc,
     moe_backward,
@@ -264,7 +266,12 @@ class DynMoeBlock:
 
 
 class TopKMoeBlock:
-    """Residual block around a fixed top-k softmax-routed MoE layer."""
+    """Residual block around a fixed top-k softmax-routed MoE layer.
+
+    Experts run pair-wise, as in the DynMoE layer: each on the tokens that
+    selected it. The selection set is held fixed in the backward, so no
+    unselected pair is ever computed.
+    """
 
     def __init__(self, w_g: Param, experts: list[ExpertMlp], top_k: int, d: int, h: int):
         self.w_g = w_g
@@ -283,24 +290,15 @@ class TopKMoeBlock:
 
     def forward(self, x, mode):
         decision = route_top_k_baseline(x, self.w_g, self.top_k)
-        outs, caches = [], []
-        y = np.zeros_like(x)
-        for e, expert in enumerate(self.experts):
-            out_e, cache_e = expert.forward(x)
-            outs.append(out_e)
-            caches.append(cache_e)
-            y += decision.weights[:, e, None] * out_e
-        return x + y, (x, decision, caches, outs)
+        y, pairs = _dispatch(self.experts, x, decision.mask, decision.weights,
+                             keep_cache=mode == "train")
+        return x + y, (x, decision, pairs)
 
     def backward(self, cache, d_out):
-        x, decision, caches, outs = cache
-        d_in = d_out.copy()
-        d_weights = np.zeros_like(decision.weights)
-        for e, expert in enumerate(self.experts):
-            d_weights[:, e] = (outs[e] * d_out).sum(axis=1)
-            d_in += expert.backward(caches[e], d_out * decision.weights[:, e, None])
-        d_in += route_top_k_backward(decision, d_weights, x, self.w_g)
-        return d_in
+        x, decision, pairs = cache
+        d_expert, d_weights = _pairs_backward(self.experts, pairs, d_out, decision.weights)
+        # d_weights is zero off the selected pairs; the router backward masks them anyway.
+        return d_out + d_expert + route_top_k_backward(decision, d_weights, x, self.w_g)
 
     def params(self):
         out = [self.w_g]

@@ -1,10 +1,13 @@
-"""Expert MLPs, dispatch and combine, and the full layer backward.
+"""Expert MLPs, pair-wise dispatch and combine, and the full layer backward.
 
 Forward: each token runs exactly the experts its mask activates and the
 layer output is their unweighted mean (tokens that activate nothing output
 the zero vector in training mode, which reads as identity pass-through
 under a residual connection). A score-weighted combine exists solely for
-ablation comparisons.
+ablation comparisons. Dispatch is pair-wise: each expert runs once, on the
+rows that activate it. In training mode the outputs and expert caches of
+those activated pairs are kept on the decision, and the backward reuses
+them instead of running any expert again on them.
 
 Backward composition, per token i with activation count k_i > 0 and
 upstream u_i = dL/dy_i:
@@ -16,6 +19,9 @@ upstream u_i = dL/dy_i:
 The mask gradient treats the combine as sum_e m_e E_e / sum_e m_e, the
 smooth extension that coincides with the mean over activated experts on
 binary masks; it is then fed through the router's straight-through rule.
+It is the one place that needs E_e(x_i) on pairs that were not activated:
+the backward gets those from a forward-only pass over the non-activated
+rows of tokens with k_i > 0 (rows with k_i = 0 have a zero seed).
 """
 
 from __future__ import annotations
@@ -161,28 +167,102 @@ class MoeLayer:
         return out
 
 
-def moe_forward(
-    layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
-) -> tuple[np.ndarray, GatingDecision]:
-    """Route tokens and combine activated expert outputs by unweighted mean.
+def _dispatch(
+    experts: list[ExpertMlp],
+    tokens: np.ndarray,
+    mask: np.ndarray,
+    weights: np.ndarray,
+    keep_cache: bool,
+) -> tuple[np.ndarray, list | None]:
+    """Run each expert once on the rows its mask column activates.
 
-    ``mode="train"`` permits k = 0 rows (their output is the zero vector);
-    ``mode="eval"`` falls back to top-1 so every token runs at least one
-    expert.
+    Returns the combine ``sum_e weights[:, e] * E_e(x)`` and, when
+    ``keep_cache`` is set, one ``(expert index, rows, outputs, expert cache)``
+    entry per expert that some row activates, for :func:`_pairs_backward`.
     """
+    out = np.zeros_like(tokens)
+    pairs = [] if keep_cache else None
+    for e, expert in enumerate(experts):
+        idx = np.nonzero(mask[:, e] > 0.0)[0]
+        if not idx.size:
+            continue
+        if keep_cache:
+            out_e, cache_e = expert.forward(tokens[idx])
+            pairs.append((e, idx, out_e, cache_e))
+            out[idx] += weights[idx, e, None] * out_e
+        else:
+            # Nothing is kept: drop the expert cache at once and scale the
+            # output in place, so the next expert reuses the freed buffers.
+            out_e = expert.forward(tokens[idx])[0]
+            out_e *= weights[idx, e, None]
+            out[idx] += out_e
+    return out, pairs
+
+
+def _pairs_backward(
+    experts: list[ExpertMlp],
+    pairs: list | None,
+    upstream: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expert backward on the activated pairs cached by :func:`_dispatch`.
+
+    Expert e receives ``upstream * weights[:, e]`` on its activated rows
+    only. Returns the token gradient of the expert path and
+    ``dots[i, e] = <u_i, E_e(x_i)>`` on activated pairs (zero elsewhere).
+    """
+    if pairs is None:
+        raise ValueError(
+            "no expert cache: the backward needs the decision or cache of a "
+            "train-mode forward (eval-mode and bare router decisions carry none)"
+        )
+    d_tokens = np.zeros_like(upstream)
+    dots = np.zeros(weights.shape)
+    for e, idx, out_e, cache_e in pairs:
+        u = upstream[idx]
+        dots[idx, e] = (out_e * u).sum(axis=1)
+        d_tokens[idx] += experts[e].backward(cache_e, u * weights[idx, e, None])
+    return d_tokens, dots
+
+
+def _combine_weights(decision: GatingDecision, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Combine weights t / T and the per-token 1 / T (0 where T = 0).
+
+    t is the mask (mean combine) or sig_s * mask (score-weighted combine),
+    and T_i = sum_e t[i, e].
+    """
+    t = decision.sig_s * decision.mask if weighted else decision.mask
+    totals = t.sum(axis=1)
+    inv_t = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0.0)
+    return t * inv_t[:, None], inv_t
+
+
+def _layer_forward(
+    layer: MoeLayer, tokens: np.ndarray, mode: str, weighted: bool
+) -> tuple[np.ndarray, GatingDecision]:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
     decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    out = np.zeros_like(tokens)
-    for e, expert in enumerate(layer.experts):
-        idx = np.nonzero(decision.mask[:, e] > 0.0)[0]
-        if idx.size:
-            out[idx] += expert.forward(tokens[idx])[0]
-    active = decision.k > 0
-    out[active] /= decision.k[active, None]
+    weights, _ = _combine_weights(decision, weighted)
+    out, decision.expert_cache = _dispatch(
+        layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train"
+    )
     return out, decision
+
+
+def moe_forward(
+    layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
+) -> tuple[np.ndarray, GatingDecision]:
+    """Route tokens and combine activated expert outputs by unweighted mean.
+
+    ``mode="train"`` permits k = 0 rows (their output is the zero vector)
+    and caches the activated pairs on the decision for :func:`moe_backward`;
+    ``mode="eval"`` falls back to top-1 so every token runs at least one
+    expert, and keeps no cache.
+    """
+    return _layer_forward(layer, tokens, mode, weighted=False)
 
 
 def moe_forward_weighted(
@@ -192,22 +272,52 @@ def moe_forward_weighted(
 
     Combine weight of an activated expert is sig_s[i, e] / sum over the
     token's activated experts. Exists only so the harness can compare the
-    score-weighted variant against the default unweighted mean.
+    score-weighted variant against the default unweighted mean. Modes and
+    caching are as in :func:`moe_forward`.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    layer.validate()
+    return _layer_forward(layer, tokens, mode, weighted=True)
+
+
+def _layer_backward(
+    layer: MoeLayer,
+    decision: GatingDecision,
+    tokens: np.ndarray,
+    upstream: np.ndarray,
+    detach_router_tokens: bool,
+    weighted: bool,
+) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.float64)
-    decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    selected = decision.sig_s * decision.mask
-    totals = selected.sum(axis=1, keepdims=True)
-    weights = np.divide(selected, totals, out=np.zeros_like(selected), where=totals > 0.0)
-    out = np.zeros_like(tokens)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != tokens.shape or decision.mask.shape[0] != tokens.shape[0]:
+        raise DimensionError(
+            f"stale decision or upstream: tokens {tokens.shape}, upstream "
+            f"{upstream.shape}, mask {decision.mask.shape}"
+        )
+    if decision.mask.shape[1] != layer.n_experts:
+        raise DimensionError("decision does not match the layer's current expert count")
+
+    weights, inv_t = _combine_weights(decision, weighted)
+    d_tokens, dots = _pairs_backward(layer.experts, decision.expert_cache, upstream, weights)
+    # The mask seed <u_i, E_e(x_i) - y_i> / T_i also needs the outputs of
+    # experts a token did not activate; rows with T_i = 0 have a zero seed.
+    off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
     for e, expert in enumerate(layer.experts):
-        idx = np.nonzero(decision.mask[:, e] > 0.0)[0]
+        idx = np.nonzero(off[:, e])[0]
         if idx.size:
-            out[idx] += weights[idx, e, None] * expert.forward(tokens[idx])[0]
-    return out, decision
+            dots[idx, e] = (expert.forward(tokens[idx])[0] * upstream[idx]).sum(axis=1)
+    d_t = (dots - (weights * dots).sum(axis=1, keepdims=True)) * inv_t[:, None]
+    if weighted:
+        # Product rule on t = sig_s * mask: the sig_s path is a real
+        # gradient, the mask path is the straight-through seed.
+        d_mask, d_sig_s = d_t * decision.sig_s, d_t * decision.mask
+    else:
+        d_mask, d_sig_s = d_t, None
+    d_tokens += route_top_any_backward(
+        decision, d_mask, tokens, layer.router,
+        propagate_to_tokens=not detach_router_tokens,
+        upstream_sig_s=d_sig_s,
+    )
+    return d_tokens
 
 
 def moe_backward(
@@ -219,47 +329,16 @@ def moe_backward(
 ) -> np.ndarray:
     """Accumulate gradients for all layer params; return the token gradient.
 
-    Valid only for train-mode decisions (the eval fallback breaks the
-    mask/threshold relation the straight-through rule relies on). Expert
-    weight gradients flow through activated pairs scaled by 1/k; the mask
-    gradient needs every expert's output on every token, which is affordable
-    at this scale and is recomputed here rather than cached.
+    ``decision`` must come from a train-mode :func:`moe_forward` on
+    ``tokens``: it carries the cached activated pairs, and without them
+    (eval-mode or bare router decisions) this raises ``ValueError``. The eval
+    fallback would also break the mask/threshold relation the
+    straight-through rule relies on. Expert weight gradients flow through the
+    cached activated pairs scaled by 1/k. The mask gradient also needs the
+    outputs of non-activated experts on tokens with k > 0; those come from
+    one forward-only pass per expert over exactly those rows.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != tokens.shape or decision.mask.shape[0] != tokens.shape[0]:
-        raise DimensionError(
-            f"stale decision or upstream: tokens {tokens.shape}, upstream "
-            f"{upstream.shape}, mask {decision.mask.shape}"
-        )
-    if decision.mask.shape[1] != layer.n_experts:
-        raise DimensionError("decision does not match the layer's current expert count")
-
-    inv_k = np.zeros(decision.k.shape[0])
-    active = decision.k > 0
-    inv_k[active] = 1.0 / decision.k[active]
-
-    expert_outs = []
-    caches = []
-    y = np.zeros_like(tokens)
-    for e, expert in enumerate(layer.experts):
-        out_e, cache_e = expert.forward(tokens)
-        expert_outs.append(out_e)
-        caches.append(cache_e)
-        y += out_e * decision.mask[:, e, None]
-    y *= inv_k[:, None]
-
-    d_tokens = np.zeros_like(tokens)
-    d_mask = np.zeros_like(decision.mask)
-    for e, expert in enumerate(layer.experts):
-        d_mask[:, e] = ((expert_outs[e] - y) * upstream).sum(axis=1) * inv_k
-        d_out_e = upstream * (decision.mask[:, e] * inv_k)[:, None]
-        d_tokens += expert.backward(caches[e], d_out_e)
-    d_tokens += route_top_any_backward(
-        decision, d_mask, tokens, layer.router,
-        propagate_to_tokens=not detach_router_tokens,
-    )
-    return d_tokens
+    return _layer_backward(layer, decision, tokens, upstream, detach_router_tokens, weighted=False)
 
 
 def moe_backward_weighted(
@@ -274,43 +353,10 @@ def moe_backward_weighted(
     With t = sig_s * mask and T_i = sum_e t[i, e], the combine is
     y_i = sum_e t[i, e] E_e(x_i) / T_i. Gradients reach the router along two
     routes: a smooth one through sig_s (activated entries) and the usual
-    straight-through one through the mask.
+    straight-through one through the mask. The decision must carry the cache
+    of a train-mode forward, as in :func:`moe_backward`.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != tokens.shape or decision.mask.shape[0] != tokens.shape[0]:
-        raise DimensionError("stale decision or upstream for weighted backward")
-
-    selected = decision.sig_s * decision.mask
-    totals = selected.sum(axis=1, keepdims=True)
-    inv_t = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0.0)
-    weights = selected * inv_t
-
-    expert_outs = []
-    caches = []
-    y = np.zeros_like(tokens)
-    for e, expert in enumerate(layer.experts):
-        out_e, cache_e = expert.forward(tokens)
-        expert_outs.append(out_e)
-        caches.append(cache_e)
-        y += out_e * weights[:, e, None]
-
-    d_tokens = np.zeros_like(tokens)
-    d_t = np.zeros_like(decision.mask)  # gradient wrt t = sig_s * mask
-    for e, expert in enumerate(layer.experts):
-        d_t[:, e] = ((expert_outs[e] - y) * upstream).sum(axis=1) * inv_t[:, 0]
-        d_out_e = upstream * weights[:, e, None]
-        d_tokens += expert.backward(caches[e], d_out_e)
-    # Product rule on t = sig_s * mask: the sig_s path is a real gradient,
-    # the mask path is the straight-through seed.
-    d_sig_s = d_t * decision.mask
-    d_mask = d_t * decision.sig_s
-    d_tokens += route_top_any_backward(
-        decision, d_mask, tokens, layer.router,
-        propagate_to_tokens=not detach_router_tokens,
-        upstream_sig_s=d_sig_s,
-    )
-    return d_tokens
+    return _layer_backward(layer, decision, tokens, upstream, detach_router_tokens, weighted=True)
 
 
 def count_activated_params(layer: MoeLayer, decision) -> float:

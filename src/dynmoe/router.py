@@ -19,7 +19,7 @@ with up = dL/dmask:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,10 @@ class GatingDecision:
     ``mask`` is the {0, 1} activation indicator, ``k`` the per-token count
     of activated experts (row sums of the mask), ``s`` the raw cosine
     scores, ``sig_s``/``sig_g`` their squashed forms. ``k`` may be zero in
-    training mode.
+    training mode. ``expert_cache`` holds, for each expert some token
+    activates, its index, the activated rows, their outputs and the expert's
+    forward cache; a train-mode layer forward fills it for the layer
+    backward, and it stays ``None`` everywhere else.
     """
 
     mask: np.ndarray   # (N, K) entries in {0.0, 1.0}
@@ -96,6 +99,7 @@ class GatingDecision:
     s: np.ndarray      # (N, K)
     sig_s: np.ndarray  # (N, K)
     sig_g: np.ndarray  # (K,)
+    expert_cache: list | None = field(default=None, repr=False)
 
     @property
     def n_tokens(self) -> int:

@@ -121,6 +121,16 @@ class TestCli:
         assert (report / "k_trajectory.csv").is_file()
         assert (report / "similarity.json").is_file()
 
+    def test_eval_uses_config_defaults(self, tmp_path):
+        # an empty config trains on the default task; eval must build the same one
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        run = tmp_path / "r"
+        assert main(["train", str(cfg), "--out", str(run)]) == 0
+        out = tmp_path / "e"
+        assert main(["eval", str(run / "checkpoint.final"), str(cfg), "--out", str(out)]) == 0
+        assert (out / "metrics.csv").is_file()
+
     def test_baseline_command(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "base"

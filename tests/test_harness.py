@@ -7,6 +7,7 @@ from dynmoe.harness import (
     MoeClassifier,
     OptimizerConfig,
     Sgd,
+    TopKMoeBlock,
     TrainConfig,
     gen_task,
     load_model,
@@ -20,7 +21,9 @@ from dynmoe.harness import (
     train_step,
     make_optimizer,
 )
-from dynmoe.numerics import ConfigurationError, Param
+from dynmoe.moe_layer import ExpertMlp
+from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad
+from dynmoe.router import route_top_any
 
 from conftest import rel_err
 
@@ -204,6 +207,81 @@ class TestTrainStep:
                            make_optimizer(cfg), plugins)
         assert "mean_k_efficiency" in stats.aux.extra
         stats.aux.validate()
+
+
+class TestTopKMoeBlockBackward:
+    """Block backward against central differences of the block output; the
+    selection set is asserted not to move under any probe."""
+
+    @pytest.mark.parametrize("top_k", [1, 2, 4])
+    def test_all_grads_match_finite_differences(self, rng, top_k):
+        d, h, n_experts = 4, 5, 4
+        block = TopKMoeBlock.random(d, h, n_experts, top_k, rng)
+        # tokens lean along axis 0 and expert 3's logit along -axis 0, so
+        # expert 3 is never among the top 2
+        block.w_g.value[:, 3] = [-3.0, 0.0, 0.0, 0.0]
+        tokens = rng.standard_normal((12, d)) + np.array([2.0, 0.0, 0.0, 0.0])
+        coeff = rng.standard_normal((12, d))
+        out, cache = block.forward(tokens, "train")
+        mask = cache[1].mask
+        if top_k < n_experts:
+            assert not mask[:, 3].any()
+        d_tokens = block.backward(cache, coeff)
+
+        def objective_at(x):
+            out2, cache2 = block.forward(x, "train")
+            assert np.array_equal(cache2[1].mask, mask)
+            return float((coeff * out2).sum())
+
+        for p in block.params():
+            fd = finite_diff_grad(lambda _: objective_at(tokens), p, eps=1e-6)
+            assert rel_err(p.grad, fd) < 1e-5, p.name
+        fd_x = finite_diff_grad(lambda q: objective_at(q.value), Param(tokens.copy()), eps=1e-6)
+        assert rel_err(d_tokens, fd_x) < 1e-5
+
+
+class TestPairwiseDispatch:
+    """Expert calls in one training step cover activated pairs only (plus,
+    for DynMoE, the forward-only pass the mask gradient needs)."""
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        rows = {"forward": 0, "backward": 0}
+        fwd, bwd = ExpertMlp.forward, ExpertMlp.backward
+
+        def forward(self, x):
+            rows["forward"] += len(x)
+            return fwd(self, x)
+
+        def backward(self, cache, upstream):
+            rows["backward"] += len(upstream)
+            return bwd(self, cache, upstream)
+
+        monkeypatch.setattr(ExpertMlp, "forward", forward)
+        monkeypatch.setattr(ExpertMlp, "backward", backward)
+        return rows
+
+    def test_dynmoe_backward_rows_equal_activated_pairs(self, monkeypatch):
+        task = small_task()
+        cfg = small_cfg(init_experts=4)
+        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        tokens, labels = task.tokens[:32], task.labels[:32]
+        decision = route_top_any(tokens, model.blocks[0].layer.router)
+        n_served = int((decision.k > 0).sum())
+        assert 0 < decision.k.sum() < n_served * 4
+        rows = self.count_rows(monkeypatch)
+        train_step(model, (tokens, labels), cfg, make_optimizer(cfg))
+        assert rows["backward"] == decision.k.sum()
+        # activated pairs plus the non-activated pairs of served tokens
+        assert rows["forward"] == n_served * 4
+
+    def test_topk_rows_equal_n_times_top_k(self, monkeypatch):
+        task = small_task()
+        cfg = small_cfg(adapt=None)
+        model = MoeClassifier.build_topk(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
+        rows = self.count_rows(monkeypatch)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg))
+        assert rows == {"forward": 32 * 2, "backward": 32 * 2}
 
 
 class TestTrainLoop:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynmoe.adaptive import RoutingRecord
+from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
 from dynmoe.moe_layer import (
     ExpertMlp,
     MoeLayer,
@@ -17,8 +17,8 @@ from dynmoe.moe_layer import (
     moe_forward_weighted,
     save_layer,
 )
-from dynmoe.numerics import Param, finite_diff_grad
-from dynmoe.router import RouterParams, route_top_any_backward
+from dynmoe.numerics import Param, cosine_scores_batch, finite_diff_grad, sigmoid
+from dynmoe.router import RouterParams, route_top_any, route_top_any_backward
 
 from conftest import rel_err
 
@@ -299,6 +299,88 @@ class TestMoeBackward:
         _, dec = moe_forward(layer, tokens)
         with pytest.raises(DimensionError):
             moe_backward(layer, dec, tokens, np.zeros((3, layer.d)))
+
+
+def surrogate_objective(layer, tokens, coeff, dec0, weighted):
+    """sum(coeff * y) with the binary mask replaced by its straight-through
+    surrogate mask0 + (sig_s - sig_g) - (sig_s0 - sig_g0): equal to the mask
+    at the forward point, with the derivative the backward assigns to it.
+    Rows that activated nothing at the forward point stay at y = 0."""
+    sig_s = sigmoid(cosine_scores_batch(tokens, layer.router.w_g.value))
+    m = dec0.mask + (sig_s - sigmoid(layer.router.g.value)) - (dec0.sig_s - dec0.sig_g)
+    t = sig_s * m if weighted else m
+    outs = np.stack([ex.forward(tokens)[0] for ex in layer.experts], axis=1)  # (N, K, d)
+    served = dec0.k > 0
+    y = np.zeros_like(tokens)
+    y[served] = (t[served, :, None] * outs[served]).sum(axis=1) / t[served].sum(axis=1)[:, None]
+    return float((coeff * y).sum())
+
+
+def edge_batch_layer(rng, state):
+    """A layer and a batch with k = 0 and k = 2 rows and an expert nobody
+    activates, either as built or right after adapt removed one expert and
+    added one."""
+    d, h = 4, 5
+    layer = layer_with_router(rng, rng.standard_normal((d, 3)), np.array([0.0, 0.0, 8.0]), d, h)
+    if state == "post_adapt":
+        layer.record.start()
+        layer.record.r_e[:] = [3, 0, 2]
+        layer.record.r_s[:] = rng.standard_normal(d)
+        report = adapt(layer, layer.record, AdaptConfig(max_experts=3), rng)
+        assert report.removed_experts == [1] and report.added
+        # the new expert carries threshold 0; silence the first one instead
+        layer.router.g.value[:] = [8.0, 0.0, 0.0]
+    tokens = rng.standard_normal((16, d))
+    return layer, tokens
+
+
+class TestLayerBackwardEdgeStates:
+    """Every gradient of both combines against the central-difference oracle
+    on the straight-through surrogate, in the states the pair-wise dispatch
+    special-cases."""
+
+    @pytest.mark.parametrize("state", ["fresh", "post_adapt"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_all_grads_match_surrogate_fd(self, rng, state, weighted):
+        layer, tokens = edge_batch_layer(rng, state)
+        coeff = rng.standard_normal(tokens.shape)
+        fwd, bwd = (moe_forward_weighted, moe_backward_weighted) if weighted else (moe_forward, moe_backward)
+        _, dec = fwd(layer, tokens)
+        assert np.any(dec.k == 0) and np.any(dec.k == 1) and np.any(dec.k == 2)
+        assert np.any(dec.mask.sum(axis=0) == 0)
+        d_tokens = bwd(layer, dec, tokens, coeff)
+
+        def objective(_):
+            return surrogate_objective(layer, tokens, coeff, dec, weighted)
+
+        for i, p in enumerate(layer.params()):
+            fd = finite_diff_grad(objective, p, eps=1e-6)
+            assert rel_err(p.grad, fd) < 1e-5, (i, p.name)
+
+        x = Param(tokens.copy())
+        fd_x = finite_diff_grad(
+            lambda q: surrogate_objective(layer, q.value, coeff, dec, weighted), x, eps=1e-6
+        )
+        assert rel_err(d_tokens, fd_x) < 1e-5
+
+
+class TestBackwardNeedsCache:
+    @pytest.mark.parametrize("bwd", [moe_backward, moe_backward_weighted])
+    def test_eval_decision_rejected(self, rng, bwd):
+        layer = build_layer(rng)
+        tokens = rng.standard_normal((6, layer.d))
+        _, dec = moe_forward(layer, tokens, mode="eval")
+        assert dec.expert_cache is None
+        with pytest.raises(ValueError, match="no expert cache"):
+            bwd(layer, dec, tokens, np.ones_like(tokens))
+
+    @pytest.mark.parametrize("bwd", [moe_backward, moe_backward_weighted])
+    def test_bare_router_decision_rejected(self, rng, bwd):
+        layer = build_layer(rng)
+        tokens = rng.standard_normal((6, layer.d))
+        dec = route_top_any(tokens, layer.router)
+        with pytest.raises(ValueError, match="no expert cache"):
+            bwd(layer, dec, tokens, np.ones_like(tokens))
 
 
 class TestCountActivatedParams:

@@ -12,12 +12,8 @@ from .losses import (
 from .moe_layer import (
     ExpertMlp,
     MoeLayer,
-    count_activated_params,
-    load_layer,
     moe_backward,
     moe_forward,
-    moe_forward_weighted,
-    save_layer,
 )
 from .numerics import (
     ConfigurationError,
@@ -26,9 +22,8 @@ from .numerics import (
     DivergenceError,
     NonFiniteError,
     Param,
-    cosine_scores,
+    cosine_scores_batch,
     finite_diff_grad,
-    matmul,
     sigmoid,
 )
 from .router import (
@@ -58,24 +53,19 @@ __all__ = [
     "RoutingRecord",
     "TopKDecision",
     "adapt",
-    "cosine_scores",
-    "count_activated_params",
+    "cosine_scores_batch",
     "diversity_simplicity_loss",
     "finite_diff_grad",
     "get_plugin",
     "gshard_style_balance_loss",
     "init_new_expert",
-    "load_layer",
-    "matmul",
     "moe_backward",
     "moe_forward",
-    "moe_forward_weighted",
     "record",
     "route_eval",
     "route_top_any",
     "route_top_any_backward",
     "route_top_k_baseline",
-    "save_layer",
     "sigmoid",
 ]
 

@@ -15,19 +15,22 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunSpec, load_config
+from .config import ConfigError, RunSpec, load_config, parse_config_doc, read_config
 from .harness import (
     RunResult,
     evaluate,
     gen_task,
     load_model,
+    log_eval,
     run_baseline,
     save_model,
+    similarity_snapshot,
+    split_task,
     train_loop,
 )
 from .telemetry import MetricsLog
@@ -37,6 +40,19 @@ log = logging.getLogger("dynmoe")
 ADAPT_JSONL_SCHEMA = "dynmoe-adapt/1"
 ARTIFACTS_SCHEMA = "dynmoe-artifacts/1"
 REPORT_SCHEMA = "dynmoe-report/1"
+
+# flag destination -> (section, key) of the config document it sets
+FLAG_KEYS = {
+    "seed": ("train", "seed"),
+    "aux_weight": ("train", "aux_loss_weight"),
+    "combine": ("train", "combine"),
+    "max_experts": ("adapt", "max_experts"),
+    "check_interval": ("adapt", "check_interval"),
+    "init_strategy": ("adapt", "init_strategy"),
+    "router": ("router", "kind"),
+    "K": ("router", "n_experts"),
+    "k": ("router", "top_k"),
+}
 
 
 def _configure_logging() -> None:
@@ -68,49 +84,35 @@ def checkpoint_hash(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _apply_overrides(spec: RunSpec, args) -> RunSpec:
-    train = spec.train
-    if getattr(args, "seed", None) is not None:
-        train = replace(train, seed=args.seed)
-    if getattr(args, "aux_weight", None) is not None:
-        train = replace(train, aux_loss_weight=args.aux_weight)
-    if getattr(args, "combine", None) is not None:
-        train = replace(train, combine=args.combine)
-    adapt = train.adapt
-    if adapt is not None:
-        if getattr(args, "max_experts", None) is not None:
-            adapt = replace(adapt, max_experts=args.max_experts)
-        if getattr(args, "check_interval", None) is not None:
-            adapt = replace(adapt, check_interval=args.check_interval)
-        if getattr(args, "init_strategy", None) is not None:
-            adapt = replace(adapt, init_strategy=args.init_strategy)
-        train = replace(train, adapt=adapt)
-    router_kind = spec.router_kind
-    if getattr(args, "router", None) is not None:
-        router_kind = args.router
-    spec = replace(spec, train=train, router_kind=router_kind)
-    spec.source["train"]["seed"] = spec.train.seed
-    spec.source["train"]["aux_loss_weight"] = spec.train.aux_loss_weight
-    spec.source["train"]["combine"] = spec.train.combine
-    if spec.train.adapt is not None and spec.source.get("adapt"):
-        spec.source["adapt"]["max_experts"] = spec.train.adapt.max_experts
-        spec.source["adapt"]["check_interval"] = spec.train.adapt.check_interval
-        spec.source["adapt"]["init_strategy"] = spec.train.adapt.init_strategy
-    spec.source["router"]["kind"] = router_kind
-    return spec
+def load_spec(args) -> RunSpec:
+    """The config file with the command's flags written into it, parsed once."""
+    doc = read_config(args.config)
+    for dest, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or not isinstance(doc, dict):
+            continue
+        part = doc.get(section, {})
+        if part is None:
+            raise ConfigError(f"--{dest.replace('_', '-')} sets {section}.{key}, "
+                              f"but {args.config} sets {section} to null")
+        if isinstance(part, dict):
+            doc[section] = {**part, key: value}
+    return parse_config_doc(doc, origin=str(args.config))
+
+
+def _train(spec: RunSpec, outdir: Path) -> RunResult:
+    task = gen_task(**asdict(spec.task))
+    if spec.router.kind == "topk":
+        result = run_baseline(task, spec.train, spec.router.n_experts, spec.router.top_k)
+    else:
+        result = train_loop(task, spec.train)
+    write_run_dir(outdir, spec.snapshot(), result)
+    return result
 
 
 def cmd_train(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    task = gen_task(spec.task.n_skills, spec.task.d, spec.task.n_samples, spec.task.seed)
-    if spec.router_kind == "topk":
-        if spec.baseline_experts is None or spec.baseline_top_k is None:
-            raise ConfigError("training a top-k router needs router.n_experts and router.top_k")
-        result = run_baseline(task, spec.train, spec.baseline_experts, spec.baseline_top_k)
-    else:
-        result = train_loop(task, spec.train)
     outdir = Path(args.out or "runs/train")
-    write_run_dir(outdir, spec.source, result)
+    result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} mean_k={result.mean_k:.3f} "
           f"n_experts={sum(result.k_trajectory[-1][1])}")
     print(f"checkpoint_sha256={checkpoint_hash(outdir / 'checkpoint.final')}")
@@ -119,49 +121,41 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    task = gen_task(spec.task.n_skills, spec.task.d, spec.task.n_samples, spec.task.seed)
-    result = run_baseline(task, spec.train, args.K, args.k)
     outdir = Path(args.out or f"runs/baseline_K{args.K}_k{args.k}")
-    spec.source["router"] = {"kind": "topk", "n_experts": args.K, "top_k": args.k}
-    write_run_dir(outdir, spec.source, result)
+    result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} K={args.K} k={args.k}")
     print(f"run_dir={outdir}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint on the held-out rows of the config's task: the rows
+    the training run evaluated on, never the ones it trained on."""
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
         return 2
-    spec = load_config(args.task).task
-    task = gen_task(spec.n_skills, spec.d, spec.n_samples, spec.seed)
+    spec = load_config(args.task)
+    task = gen_task(**asdict(spec.task))
+    eval_idx = split_task(task, spec.train)[1]
 
     model = load_model(ckpt)
-    accuracy, stats, _ = evaluate(model, task.tokens, task.labels)
+    accuracy, stats, _ = evaluate(model, task.tokens[eval_idx], task.labels[eval_idx])
+    mean_k = float(np.mean([ps.mean_top_k for ps in stats]))
     metrics = MetricsLog()
-    from .harness import _log_eval  # same rows the training loop emits
-
-    _log_eval(metrics, 0, model, accuracy, stats)
+    log_eval(metrics, 0, model, accuracy, stats)  # same rows the training loop emits
     outdir = Path(args.out or "runs/eval")
     outdir.mkdir(parents=True, exist_ok=True)
     metrics.to_csv(outdir / "metrics.csv")
-    from .harness import _similarity_snapshot
-
     artifacts = {
         "schema": ARTIFACTS_SCHEMA,
         "final_accuracy": accuracy,
-        "mean_k": float(np.mean([ps.mean_top_k for ps in stats])),
-        "similarity": _similarity_snapshot(model),
+        "mean_k": mean_k,
+        "similarity": similarity_snapshot(model),
         "k_trajectory": [],
     }
     (outdir / "artifacts.json").write_text(json.dumps(artifacts, sort_keys=True, indent=2))
-    for ps in stats:
-        # emission-time identities over exact integer counters
-        assert int(ps.hist.sum()) == ps.n_tokens
-        assert int(ps.counts.sum()) == ps.k_total
-    print(f"accuracy={accuracy:.4f} mean_k={np.mean([ps.mean_top_k for ps in stats]):.3f}")
+    print(f"accuracy={accuracy:.4f} mean_k={mean_k:.3f}")
     print(f"metrics={outdir / 'metrics.csv'}")
     return 0
 
@@ -234,14 +228,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    task = gen_task(spec.task.n_skills, spec.task.d, spec.task.n_samples, spec.task.seed)
+    spec = load_spec(args)
+    task = gen_task(**asdict(spec.task))
     outdir = Path(args.out or "runs/sweep")
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for n_experts in spec.sweep_experts:
-        for top_k in spec.sweep_top_k:
+    for n_experts in spec.sweep.n_experts_grid:
+        for top_k in spec.sweep.top_k_grid:
             result = run_baseline(task, spec.train, n_experts, top_k)
             rows.append(["topk", n_experts, top_k, repr(result.mean_k),
                          repr(result.final_accuracy), repr(result.activated_params)])
@@ -249,7 +243,7 @@ def cmd_sweep(args) -> int:
     dyn = train_loop(task, spec.train)
     rows.append(["dynmoe", sum(dyn.k_trajectory[-1][1]), "", repr(dyn.mean_k),
                  repr(dyn.final_accuracy), repr(dyn.activated_params)])
-    write_run_dir(outdir / "dynmoe", spec.source, dyn)
+    write_run_dir(outdir / "dynmoe", spec.snapshot(), dyn)
 
     _write_report_csv(outdir / "comparison.csv",
                       ["router", "n_experts", "top_k", "mean_k", "final_accuracy",
@@ -292,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--K", type=int, required=True)
     p_base.add_argument("--k", type=int, required=True)
     add_common(p_base)
-    p_base.set_defaults(handler=cmd_baseline)
+    # a baseline is a top-k run: router.kind is written like a --router flag
+    p_base.set_defaults(handler=cmd_baseline, router="topk")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the task of a config file")
     p_eval.add_argument("checkpoint")

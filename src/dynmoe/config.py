@@ -1,14 +1,26 @@
 """Run configuration files: a versioned JSON document mapped onto the
-harness dataclasses, with errors that point at the offending place."""
+harness dataclasses, with errors that point at the offending place.
+
+Each section is read against its dataclass (``task`` -> :class:`TaskSpec`,
+``train`` -> ``TrainConfig``, ``train.optimizer`` -> ``OptimizerConfig``,
+``adapt`` -> ``AdaptConfig``, ``router`` -> :class:`RouterSpec`, each
+``plugins`` entry -> :class:`PluginSpec`, ``sweep`` -> :class:`SweepSpec`):
+a key the section omits keeps the dataclass default, and a key it sets must
+have the JSON type of the field.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .adaptive import AdaptConfig
-from .harness import OptimizerConfig, TrainConfig
+from .harness import TrainConfig
+from .losses import get_plugin
 from .numerics import ConfigurationError
 
 CONFIG_SCHEMA = "dynmoe-config/1"
@@ -25,183 +37,156 @@ class TaskSpec:
     n_samples: int = 8000
     seed: int = 7
 
-    def to_dict(self) -> dict:
-        return {"n_skills": self.n_skills, "d": self.d,
-                "n_samples": self.n_samples, "seed": self.seed}
+
+@dataclass
+class RouterSpec:
+    kind: str = "dynmoe"          # "dynmoe" or "topk"
+    n_experts: int | None = None  # the top-k router's K
+    top_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("dynmoe", "topk"):
+            raise ConfigurationError(f"kind must be 'dynmoe' or 'topk', got {self.kind!r}")
+        if self.kind == "topk":
+            if self.n_experts is None or self.top_k is None:
+                raise ConfigurationError("kind 'topk' requires n_experts and top_k")
+            if not 1 <= self.top_k <= self.n_experts:
+                raise ConfigurationError(f"top_k {self.top_k} not in [1, {self.n_experts}]")
+
+
+@dataclass
+class PluginSpec:
+    name: str
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        get_plugin(self.name)
+
+
+@dataclass
+class SweepSpec:
+    n_experts_grid: tuple[int, ...] = (2, 4, 8)
+    top_k_grid: tuple[int, ...] = (1, 2)
 
 
 @dataclass
 class RunSpec:
     task: TaskSpec
     train: TrainConfig
-    router_kind: str = "dynmoe"          # "dynmoe" or "topk"
-    baseline_experts: int | None = None  # for router_kind == "topk"
-    baseline_top_k: int | None = None
-    sweep_experts: tuple[int, ...] = (2, 4, 8)
-    sweep_top_k: tuple[int, ...] = (1, 2)
-    source: dict = field(default_factory=dict)  # raw document for snapshots
+    router: RouterSpec
+    sweep: SweepSpec
+
+    def snapshot(self) -> dict:
+        """The normalized document: every key, defaults filled in. Parsing it
+        gives this spec back."""
+        train = asdict(self.train)
+        adapt, plugins = train.pop("adapt"), train.pop("plugins")
+        return {
+            "schema": CONFIG_SCHEMA,
+            "task": asdict(self.task),
+            "train": train,
+            "adapt": adapt,
+            "router": asdict(self.router),
+            "plugins": [{"name": name, "weight": weight} for name, weight in plugins],
+            "sweep": asdict(self.sweep),
+        }
 
 
-def _take(section: dict, key: str, default, where: str):
-    value = section.pop(key, default)
-    if value is None and default is not None:
-        raise ConfigError(f"{where}.{key} must not be null")
-    return value
+def _is_number(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(section: dict, where: str) -> None:
-    if section:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(section)}")
+# Python type -> (what the JSON value must be, test of the JSON value)
+_SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
-def parse_config_doc(doc: dict, origin: str = "<config>") -> RunSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{origin}: top level must be an object")
-    doc = dict(doc)
-    schema = doc.pop("schema", CONFIG_SCHEMA)
-    if schema != CONFIG_SCHEMA:
-        raise ConfigError(f"{origin}: unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}")
+def _value(value, hint, where: str):
+    """``value`` converted to the field type ``hint``, checked strictly."""
+    if get_origin(hint) is UnionType:  # "X | None"
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if value is None:
+        raise ConfigError(f"{where} must not be null")
+    if is_dataclass(hint):
+        return _section(hint, value, where)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        hints = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(hints):
+            raise ConfigError(f"{where} must hold {len(hints)} values, got {value!r}")
+        return tuple(_value(v, h, f"{where}[{i}]") for i, (v, h) in enumerate(zip(value, hints)))
+    what, valid = _SCALARS[hint]
+    if not valid(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return hint(value)
 
+
+def _section(cls, raw, where: str, **given):
+    """Dataclass ``cls`` from the JSON object ``raw``. A field takes its value
+    from ``given`` (never from ``raw``), else from ``raw``, else its default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    names = [f.name for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+    for f in fields(cls):
+        if f.name in names and f.name not in raw and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{f.name} is required")
+    hints = get_type_hints(cls)
+    values = {key: _value(value, hints[key], f"{where}.{key}") for key, value in raw.items()}
     try:
-        task_sec = dict(doc.pop("task", {}))
-        task = TaskSpec(
-            n_skills=int(_take(task_sec, "n_skills", 4, "task")),
-            d=int(_take(task_sec, "d", 16, "task")),
-            n_samples=int(_take(task_sec, "n_samples", 8000, "task")),
-            seed=int(_take(task_sec, "seed", 7, "task")),
-        )
-        _reject_unknown(task_sec, "task")
-
-        adapt_sec = doc.pop("adapt", {})
-        if adapt_sec is None:
-            adapt = None
-        else:
-            adapt_sec = dict(adapt_sec)
-            window = _take(adapt_sec, "record_window", [1.0 / 3.0, 2.0 / 3.0], "adapt")
-            adapt = AdaptConfig(
-                max_experts=int(_take(adapt_sec, "max_experts", 16, "adapt")),
-                check_interval=int(_take(adapt_sec, "check_interval", 100, "adapt")),
-                record_window=(float(window[0]), float(window[1])),
-                init_strategy=str(_take(adapt_sec, "init_strategy", "paper_rs", "adapt")),
-                min_experts=int(_take(adapt_sec, "min_experts", 1, "adapt")),
-            )
-            _reject_unknown(adapt_sec, "adapt")
-
-        train_sec = dict(doc.pop("train", {}))
-        opt_sec = dict(_take(train_sec, "optimizer", {}, "train") or {})
-        optimizer = OptimizerConfig(
-            kind=str(_take(opt_sec, "kind", "adam", "train.optimizer")),
-            beta1=float(_take(opt_sec, "beta1", 0.9, "train.optimizer")),
-            beta2=float(_take(opt_sec, "beta2", 0.999, "train.optimizer")),
-            eps=float(_take(opt_sec, "eps", 1e-8, "train.optimizer")),
-        )
-        _reject_unknown(opt_sec, "train.optimizer")
-
-        plugins_raw = doc.pop("plugins", [])
-        plugins = tuple(
-            (str(p["name"]), float(p.get("weight", 1.0))) for p in plugins_raw
-        )
-
-        train = TrainConfig(
-            steps=int(_take(train_sec, "steps", 3000, "train")),
-            batch_size=int(_take(train_sec, "batch_size", 32, "train")),
-            learning_rate=float(_take(train_sec, "learning_rate", 0.02, "train")),
-            optimizer=optimizer,
-            aux_loss_weight=float(_take(train_sec, "aux_loss_weight", 1.0, "train")),
-            adapt=adapt,
-            seed=int(_take(train_sec, "seed", 0, "train")),
-            eval_every=int(_take(train_sec, "eval_every", 500, "train")),
-            n_layers=int(_take(train_sec, "n_layers", 1, "train")),
-            hidden=int(_take(train_sec, "hidden", 16, "train")),
-            init_experts=int(_take(train_sec, "init_experts", 2, "train")),
-            n_classes=int(_take(train_sec, "n_classes", 2, "train")),
-            combine=str(_take(train_sec, "combine", "mean", "train")),
-            detach_router_tokens=bool(_take(train_sec, "detach_router_tokens", False, "train")),
-            plugins=plugins,
-            eval_fraction=float(_take(train_sec, "eval_fraction", 0.2, "train")),
-        )
-        _reject_unknown(train_sec, "train")
-
-        router_sec = dict(doc.pop("router", {"kind": "dynmoe"}))
-        kind = str(_take(router_sec, "kind", "dynmoe", "router"))
-        if kind not in ("dynmoe", "topk"):
-            raise ConfigError(f"router.kind must be 'dynmoe' or 'topk', got {kind!r}")
-        baseline_experts = router_sec.pop("n_experts", None)
-        baseline_top_k = router_sec.pop("top_k", None)
-        _reject_unknown(router_sec, "router")
-        if kind == "topk" and (baseline_experts is None or baseline_top_k is None):
-            raise ConfigError("router.kind 'topk' requires router.n_experts and router.top_k")
-
-        sweep_sec = dict(doc.pop("sweep", {}))
-        sweep_experts = tuple(int(v) for v in _take(sweep_sec, "n_experts_grid", [2, 4, 8], "sweep"))
-        sweep_top_k = tuple(int(v) for v in _take(sweep_sec, "top_k_grid", [1, 2], "sweep"))
-        _reject_unknown(sweep_sec, "sweep")
-        _reject_unknown(doc, origin)
-    except ConfigError:
-        raise
+        return cls(**values, **given)
     except ConfigurationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
+    try:
+        if not isinstance(doc, dict):
+            raise ConfigError("top level must be an object")
+        schema = doc.get("schema", CONFIG_SCHEMA)
+        if schema != CONFIG_SCHEMA:
+            raise ConfigError(f"unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}")
+        unknown = sorted(set(doc) - {"schema", "task", "train", "adapt", "router", "plugins", "sweep"})
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s): {unknown}")
+        plugins = _value(doc.get("plugins", []), tuple[PluginSpec, ...], "plugins")
+        train = _section(
+            TrainConfig, doc.get("train", {}), "train",
+            adapt=_value(doc.get("adapt", {}), AdaptConfig | None, "adapt"),
+            plugins=tuple((p.name, p.weight) for p in plugins),
+        )
+        return RunSpec(
+            task=_section(TaskSpec, doc.get("task", {}), "task"),
+            train=train,
+            router=_section(RouterSpec, doc.get("router", {}), "router"),
+            sweep=_section(SweepSpec, doc.get("sweep", {}), "sweep"),
+        )
+    except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{origin}: malformed value ({exc})") from exc
-
-    return RunSpec(
-        task=task,
-        train=train,
-        router_kind=kind,
-        baseline_experts=None if baseline_experts is None else int(baseline_experts),
-        baseline_top_k=None if baseline_top_k is None else int(baseline_top_k),
-        sweep_experts=sweep_experts,
-        sweep_top_k=sweep_top_k,
-        source=_spec_doc(task, train, kind, baseline_experts, baseline_top_k,
-                         sweep_experts, sweep_top_k),
-    )
 
 
-def _spec_doc(task, train, kind, baseline_experts, baseline_top_k, sweep_experts, sweep_top_k) -> dict:
-    adapt = train.adapt
-    return {
-        "schema": CONFIG_SCHEMA,
-        "task": task.to_dict(),
-        "train": {
-            "steps": train.steps,
-            "batch_size": train.batch_size,
-            "learning_rate": train.learning_rate,
-            "optimizer": {
-                "kind": train.optimizer.kind,
-                "beta1": train.optimizer.beta1,
-                "beta2": train.optimizer.beta2,
-                "eps": train.optimizer.eps,
-            },
-            "aux_loss_weight": train.aux_loss_weight,
-            "seed": train.seed,
-            "eval_every": train.eval_every,
-            "n_layers": train.n_layers,
-            "hidden": train.hidden,
-            "init_experts": train.init_experts,
-            "n_classes": train.n_classes,
-            "combine": train.combine,
-            "detach_router_tokens": train.detach_router_tokens,
-            "eval_fraction": train.eval_fraction,
-        },
-        "adapt": None if adapt is None else {
-            "max_experts": adapt.max_experts,
-            "check_interval": adapt.check_interval,
-            "record_window": list(adapt.record_window),
-            "init_strategy": adapt.init_strategy,
-            "min_experts": adapt.min_experts,
-        },
-        "router": {"kind": kind, "n_experts": baseline_experts, "top_k": baseline_top_k},
-        "plugins": [{"name": n, "weight": w} for n, w in train.plugins],
-        "sweep": {"n_experts_grid": list(sweep_experts), "top_k_grid": list(sweep_top_k)},
-    }
-
-
-def load_config(path) -> RunSpec:
+def read_config(path) -> dict:
+    """The raw JSON document of a config file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_config_doc(doc, origin=str(path))
+
+
+def load_config(path) -> RunSpec:
+    return parse_config_doc(read_config(path), origin=str(path))

@@ -24,16 +24,17 @@ import numpy as np
 from .adaptive import AdaptConfig, adapt, record
 from .losses import AuxLossReport, diversity_simplicity_loss, get_plugin
 from .moe_layer import (
+    COMBINES,
     ExpertMlp,
     MoeLayer,
     _dispatch,
     _pairs_backward,
+    experts_from_doc,
+    experts_to_doc,
     layer_from_doc,
     layer_to_doc,
     moe_backward,
-    moe_backward_weighted,
     moe_forward,
-    moe_forward_weighted,
 )
 from .numerics import ConfigurationError, DivergenceError, Param
 from .router import route_top_k_backward, route_top_k_baseline
@@ -240,22 +241,17 @@ class DynMoeBlock:
     """Residual block around one adaptive-routing MoE layer."""
 
     def __init__(self, layer: MoeLayer, combine: str = "mean", detach_router_tokens: bool = False):
-        if combine not in ("mean", "weighted"):
-            raise ConfigurationError(f"combine must be 'mean' or 'weighted', got {combine!r}")
         self.layer = layer
         self.combine = combine
         self.detach_router_tokens = detach_router_tokens
 
     def forward(self, x, mode):
-        fwd = moe_forward if self.combine == "mean" else moe_forward_weighted
-        out, decision = fwd(self.layer, x, mode)
+        out, decision = moe_forward(self.layer, x, mode, self.combine)
         return x + out, (x, decision)
 
     def backward(self, cache, d_out):
         x, decision = cache
-        bwd = moe_backward if self.combine == "mean" else moe_backward_weighted
-        d_in = bwd(self.layer, decision, x, d_out, self.detach_router_tokens)
-        return d_out + d_in
+        return d_out + moe_backward(self.layer, decision, x, d_out, self.detach_router_tokens)
 
     def params(self):
         return self.layer.params()
@@ -420,7 +416,7 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ConfigurationError("eval_fraction must be in (0, 1)")
-        if self.combine not in ("mean", "weighted"):
+        if self.combine not in COMBINES:
             raise ConfigurationError(f"combine must be 'mean' or 'weighted', got {self.combine!r}")
 
 
@@ -511,7 +507,7 @@ def evaluate(model: MoeClassifier, tokens, labels):
     return accuracy, stats, caches
 
 
-def _log_eval(metrics: MetricsLog, step: int, model: MoeClassifier, accuracy, stats):
+def log_eval(metrics: MetricsLog, step: int, model: MoeClassifier, accuracy, stats):
     metrics.append(step, -1, "eval_accuracy", accuracy)
     for li, (block, ps) in enumerate(zip(model.blocks, stats)):
         metrics.append(step, li, "activation_frequency", ps.activation_frequency)
@@ -522,20 +518,22 @@ def _log_eval(metrics: MetricsLog, step: int, model: MoeClassifier, accuracy, st
         metrics.append(step, li, "n_experts", float(block.n_experts))
 
 
-def _activated_params_total(model: MoeClassifier, stats) -> float:
+def activated_params_total(model: MoeClassifier, stats) -> float:
+    """Mean parameters exercised per token: each layer's router (w_g, plus g
+    under DynMoE) and its mean number of activated experts."""
     total = 0.0
     for block, ps in zip(model.blocks, stats):
-        per_expert = block.experts[0].param_count() if isinstance(block, TopKMoeBlock) \
-            else block.layer.experts[0].param_count()
         if isinstance(block, DynMoeBlock):
             router = block.layer.d * block.n_experts + block.n_experts
+            per_expert = block.layer.experts[0].param_count()
         else:
             router = block.d * block.n_experts
+            per_expert = block.experts[0].param_count()
         total += router + ps.mean_top_k * per_expert
     return total
 
 
-def _similarity_snapshot(model: MoeClassifier):
+def similarity_snapshot(model: MoeClassifier):
     snaps = []
     for li, block in enumerate(model.blocks):
         if isinstance(block, DynMoeBlock):
@@ -609,7 +607,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
 
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
             accuracy, stats, _ = evaluate(model, eval_tokens, eval_labels)
-            _log_eval(metrics, step + 1, model, accuracy, stats)
+            log_eval(metrics, step + 1, model, accuracy, stats)
             metrics.append(step + 1, -1, "train_task_loss", last_stats.task_loss)
             metrics.append(step + 1, -1, "train_mean_k", last_stats.mean_k)
             if last_stats.aux is not None:
@@ -624,8 +622,8 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
         adapt_events=adapt_events,
         model=model,
         mean_k=mean_k,
-        activated_params=_activated_params_total(model, stats),
-        similarity=_similarity_snapshot(model),
+        activated_params=activated_params_total(model, stats),
+        similarity=similarity_snapshot(model),
         config=cfg,
     )
 
@@ -655,33 +653,16 @@ def _topk_block_to_doc(block: TopKMoeBlock) -> dict:
         "h": block.h,
         "top_k": block.top_k,
         "w_g": block.w_g.value.tolist(),
-        "experts": [
-            {
-                "w1": e.w1.value.tolist(),
-                "b1": e.b1.value.tolist(),
-                "w2": e.w2.value.tolist(),
-                "b2": e.b2.value.tolist(),
-            }
-            for e in block.experts
-        ],
+        "experts": experts_to_doc(block.experts),
     }
 
 
 def _topk_block_from_doc(doc: dict) -> TopKMoeBlock:
     if doc.get("schema") != TOPK_LAYER_SCHEMA:
         raise ValueError(f"unsupported top-k layer schema {doc.get('schema')!r}")
-    experts = [
-        ExpertMlp(
-            w1=Param(np.array(e["w1"]), name="w1"),
-            b1=Param(np.array(e["b1"]), name="b1"),
-            w2=Param(np.array(e["w2"]), name="w2"),
-            b2=Param(np.array(e["b2"]), name="b2"),
-        )
-        for e in doc["experts"]
-    ]
     return TopKMoeBlock(
         w_g=Param(np.array(doc["w_g"]), name="w_g"),
-        experts=experts,
+        experts=experts_from_doc(doc["experts"]),
         top_k=doc["top_k"],
         d=doc["d"],
         h=doc["h"],

@@ -5,9 +5,9 @@ layer output is their unweighted mean (tokens that activate nothing output
 the zero vector in training mode, which reads as identity pass-through
 under a residual connection). A score-weighted combine exists solely for
 ablation comparisons. Dispatch is pair-wise: each expert runs once, on the
-rows that activate it. In training mode the outputs and expert caches of
-those activated pairs are kept on the decision, and the backward reuses
-them instead of running any expert again on them.
+rows that activate it. In training mode the combine and the outputs and
+expert caches of those activated pairs are kept on the decision, and the
+backward reuses them instead of running any expert again on them.
 
 Backward composition, per token i with activation count k_i > 0 and
 upstream u_i = dL/dy_i:
@@ -26,16 +26,14 @@ rows of tokens with k_i > 0 (rows with k_i = 0 have a zero seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
 from .adaptive import RoutingRecord
-from .numerics import DimensionError, Param
+from .numerics import ConfigurationError, DimensionError, Param
 from .router import (
     GatingDecision,
     RouterParams,
@@ -48,6 +46,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_SCHEMA = "dynmoe-layer/1"
+COMBINES = ("mean", "weighted")
+EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
 def gelu(u: np.ndarray) -> np.ndarray:
@@ -237,55 +237,54 @@ def _combine_weights(decision: GatingDecision, weighted: bool) -> tuple[np.ndarr
     return t * inv_t[:, None], inv_t
 
 
-def _layer_forward(
-    layer: MoeLayer, tokens: np.ndarray, mode: str, weighted: bool
+def moe_forward(
+    layer: MoeLayer, tokens: np.ndarray, mode: str = "train", combine: str = "mean"
 ) -> tuple[np.ndarray, GatingDecision]:
+    """Route tokens and combine the activated expert outputs.
+
+    ``combine="mean"`` is the unweighted mean over activated experts;
+    ``combine="weighted"`` is the ablation that weights each activated expert
+    by sig_s[i, e] / sum of sig_s over the token's activated experts.
+    ``mode="train"`` permits k = 0 rows (their output is the zero vector)
+    and caches the combine and the activated pairs on the decision for
+    :func:`moe_backward`; ``mode="eval"`` falls back to top-1 so every token
+    runs at least one expert, and keeps no cache.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if combine not in COMBINES:
+        raise ConfigurationError(f"combine must be 'mean' or 'weighted', got {combine!r}")
     layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
     decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    weights, _ = _combine_weights(decision, weighted)
-    out, decision.expert_cache = _dispatch(
-        layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train"
-    )
+    weights, _ = _combine_weights(decision, combine == "weighted")
+    out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")
+    if pairs is not None:
+        decision.expert_cache = (combine, pairs)
     return out, decision
 
 
-def moe_forward(
-    layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
-) -> tuple[np.ndarray, GatingDecision]:
-    """Route tokens and combine activated expert outputs by unweighted mean.
-
-    ``mode="train"`` permits k = 0 rows (their output is the zero vector)
-    and caches the activated pairs on the decision for :func:`moe_backward`;
-    ``mode="eval"`` falls back to top-1 so every token runs at least one
-    expert, and keeps no cache.
-    """
-    return _layer_forward(layer, tokens, mode, weighted=False)
-
-
-def moe_forward_weighted(
-    layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
-) -> tuple[np.ndarray, GatingDecision]:
-    """Ablation combine: weight activated experts by their squashed scores.
-
-    Combine weight of an activated expert is sig_s[i, e] / sum over the
-    token's activated experts. Exists only so the harness can compare the
-    score-weighted variant against the default unweighted mean. Modes and
-    caching are as in :func:`moe_forward`.
-    """
-    return _layer_forward(layer, tokens, mode, weighted=True)
-
-
-def _layer_backward(
+def moe_backward(
     layer: MoeLayer,
     decision: GatingDecision,
     tokens: np.ndarray,
     upstream: np.ndarray,
-    detach_router_tokens: bool,
-    weighted: bool,
+    detach_router_tokens: bool = False,
 ) -> np.ndarray:
+    """Accumulate gradients for all layer params; return the token gradient.
+
+    ``decision`` must come from a train-mode :func:`moe_forward` on
+    ``tokens``: it carries the combine and the cached activated pairs, and
+    without them (eval-mode or bare router decisions) this raises
+    ``ValueError``. The eval fallback would also break the mask/threshold
+    relation the straight-through rule relies on. Expert weight gradients
+    flow through the cached activated pairs scaled by t / T. The mask
+    gradient also needs the outputs of non-activated experts on tokens with
+    k > 0; those come from one forward-only pass per expert over exactly
+    those rows. Under the weighted combine (t = sig_s * mask) gradients reach
+    the router along two routes: a smooth one through sig_s (activated
+    entries) and the usual straight-through one through the mask.
+    """
     tokens = np.asarray(tokens, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != tokens.shape or decision.mask.shape[0] != tokens.shape[0]:
@@ -296,8 +295,10 @@ def _layer_backward(
     if decision.mask.shape[1] != layer.n_experts:
         raise DimensionError("decision does not match the layer's current expert count")
 
+    combine, pairs = decision.expert_cache or ("mean", None)
+    weighted = combine == "weighted"
     weights, inv_t = _combine_weights(decision, weighted)
-    d_tokens, dots = _pairs_backward(layer.experts, decision.expert_cache, upstream, weights)
+    d_tokens, dots = _pairs_backward(layer.experts, pairs, upstream, weights)
     # The mask seed <u_i, E_e(x_i) - y_i> / T_i also needs the outputs of
     # experts a token did not activate; rows with T_i = 0 have a zero seed.
     off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
@@ -320,50 +321,16 @@ def _layer_backward(
     return d_tokens
 
 
-def moe_backward(
-    layer: MoeLayer,
-    decision: GatingDecision,
-    tokens: np.ndarray,
-    upstream: np.ndarray,
-    detach_router_tokens: bool = False,
-) -> np.ndarray:
-    """Accumulate gradients for all layer params; return the token gradient.
-
-    ``decision`` must come from a train-mode :func:`moe_forward` on
-    ``tokens``: it carries the cached activated pairs, and without them
-    (eval-mode or bare router decisions) this raises ``ValueError``. The eval
-    fallback would also break the mask/threshold relation the
-    straight-through rule relies on. Expert weight gradients flow through the
-    cached activated pairs scaled by 1/k. The mask gradient also needs the
-    outputs of non-activated experts on tokens with k > 0; those come from
-    one forward-only pass per expert over exactly those rows.
-    """
-    return _layer_backward(layer, decision, tokens, upstream, detach_router_tokens, weighted=False)
+def experts_to_doc(experts: list[ExpertMlp]) -> list[dict]:
+    """Checkpoint form of an expert list; float repr round-trips bit-exactly."""
+    return [{name: getattr(e, name).value.tolist() for name in EXPERT_TENSORS} for e in experts]
 
 
-def moe_backward_weighted(
-    layer: MoeLayer,
-    decision: GatingDecision,
-    tokens: np.ndarray,
-    upstream: np.ndarray,
-    detach_router_tokens: bool = False,
-) -> np.ndarray:
-    """Backward for the score-weighted ablation combine.
-
-    With t = sig_s * mask and T_i = sum_e t[i, e], the combine is
-    y_i = sum_e t[i, e] E_e(x_i) / T_i. Gradients reach the router along two
-    routes: a smooth one through sig_s (activated entries) and the usual
-    straight-through one through the mask. The decision must carry the cache
-    of a train-mode forward, as in :func:`moe_backward`.
-    """
-    return _layer_backward(layer, decision, tokens, upstream, detach_router_tokens, weighted=True)
-
-
-def count_activated_params(layer: MoeLayer, decision) -> float:
-    """Mean parameters exercised per token: router plus k_i experts."""
-    router_count = layer.d * layer.n_experts + layer.n_experts
-    per_expert = layer.experts[0].param_count()
-    return float(router_count + decision.k.mean() * per_expert)
+def experts_from_doc(docs: list[dict]) -> list[ExpertMlp]:
+    return [
+        ExpertMlp(**{name: Param(np.array(doc[name]), name=name) for name in EXPERT_TENSORS})
+        for doc in docs
+    ]
 
 
 def layer_to_doc(layer: MoeLayer) -> dict:
@@ -374,30 +341,14 @@ def layer_to_doc(layer: MoeLayer) -> dict:
         "n_experts": layer.n_experts,
         "w_g": layer.router.w_g.value.tolist(),
         "g": layer.router.g.value.tolist(),
-        "experts": [
-            {
-                "w1": e.w1.value.tolist(),
-                "b1": e.b1.value.tolist(),
-                "w2": e.w2.value.tolist(),
-                "b2": e.b2.value.tolist(),
-            }
-            for e in layer.experts
-        ],
+        "experts": experts_to_doc(layer.experts),
     }
 
 
 def layer_from_doc(doc: dict) -> MoeLayer:
     if doc.get("schema") != LAYER_SCHEMA:
         raise ValueError(f"unsupported layer schema {doc.get('schema')!r}")
-    experts = [
-        ExpertMlp(
-            w1=Param(np.array(e["w1"]), name="w1"),
-            b1=Param(np.array(e["b1"]), name="b1"),
-            w2=Param(np.array(e["w2"]), name="w2"),
-            b2=Param(np.array(e["b2"]), name="b2"),
-        )
-        for e in doc["experts"]
-    ]
+    experts = experts_from_doc(doc["experts"])
     router = RouterParams(w_g=Param(np.array(doc["w_g"]), name="w_g"),
                           g=Param(np.array(doc["g"]), name="g"))
     return MoeLayer(
@@ -408,11 +359,3 @@ def layer_from_doc(doc: dict) -> MoeLayer:
         h=doc["h"],
     )
 
-
-def save_layer(layer: MoeLayer, path) -> None:
-    """Write a layer checkpoint; float repr round-trips bit-exactly."""
-    Path(path).write_text(json.dumps(layer_to_doc(layer), sort_keys=True))
-
-
-def load_layer(path) -> MoeLayer:
-    return layer_from_doc(json.loads(Path(path).read_text()))

@@ -98,30 +98,13 @@ class Param:
             self.grad = grad
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking and a finiteness guard."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return _check_finite(a @ b, "matmul")
-
-
-def cosine_scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cosine similarity between a vector and every column of ``w``.
-
-    Entry e is <x, w[:, e]> / (|x| |w[:, e]|), clipped to [-1, 1] to absorb
-    last-ulp rounding. The result is scale-free in both arguments, which is
-    what makes the gating decision invariant to token magnitude.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return cosine_scores_batch(x[None, :], w)[0]
-
-
 def cosine_scores_batch(tokens: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise cosine similarities, (N, d) x (d, K) -> (N, K)."""
+    """Row-wise cosine similarities, (N, d) x (d, K) -> (N, K).
+
+    Entry (i, e) is <x_i, w[:, e]> / (|x_i| |w[:, e]|), clipped to [-1, 1] to
+    absorb last-ulp rounding. The result is scale-free in both arguments,
+    which is what makes the gating decision invariant to token magnitude.
+    """
     tokens = np.asarray(tokens, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if tokens.ndim != 2 or w.ndim != 2:
@@ -148,12 +131,6 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("sigmoid input must be finite")
     return expit(v)
-
-
-def dsigmoid(v: np.ndarray) -> np.ndarray:
-    """Derivative of the logistic function, s * (1 - s)."""
-    s = sigmoid(v)
-    return s * (1.0 - s)
 
 
 def finite_diff_grad(

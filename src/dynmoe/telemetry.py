@@ -63,34 +63,18 @@ class PassStats:
 
     @property
     def activation_frequency(self) -> np.ndarray:
+        """Per-expert activations over tokens; sums to the mean activation
+        count per token, not to one."""
         return self.counts / self.n_tokens
 
     @property
     def topk_frequency(self) -> np.ndarray:
+        """Fraction of tokens activating exactly j experts, for j = 0..K."""
         return self.hist / self.n_tokens
 
     @property
     def mean_top_k(self) -> float:
         return self.k_total / self.n_tokens
-
-
-def activation_frequency(decisions: Iterable) -> np.ndarray:
-    """Per-expert activations divided by total tokens over a pass.
-
-    Entries can exceed one token-fraction only in the sense that their sum
-    equals the average activation count per token, not one.
-    """
-    return PassStats.from_decisions(decisions).activation_frequency
-
-
-def topk_frequency(decisions: Iterable) -> np.ndarray:
-    """Fraction of tokens activating exactly j experts, for j = 0..K."""
-    return PassStats.from_decisions(decisions).topk_frequency
-
-
-def mean_top_k(decisions: Iterable) -> float:
-    """Average number of experts activated per token."""
-    return PassStats.from_decisions(decisions).mean_top_k
 
 
 def expert_similarity_matrix(router: RouterParams) -> np.ndarray:

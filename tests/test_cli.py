@@ -4,8 +4,25 @@ from pathlib import Path
 
 import pytest
 
-from dynmoe.cli import main
+from dynmoe.cli import FLAG_KEYS, main
 from dynmoe.config import ConfigError, load_config, parse_config_doc
+
+# every key of every section set away from its default
+FULL_CONFIG = {
+    "schema": "dynmoe-config/1",
+    "task": {"n_skills": 3, "d": 12, "n_samples": 600, "seed": 5},
+    "train": {"steps": 120, "batch_size": 16, "learning_rate": 0.01,
+              "optimizer": {"kind": "sgd", "beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
+              "aux_loss_weight": 0.5, "seed": 3, "eval_every": 40, "n_layers": 2,
+              "hidden": 8, "init_experts": 3, "n_classes": 3, "combine": "weighted",
+              "detach_router_tokens": True, "eval_fraction": 0.25},
+    "adapt": {"max_experts": 6, "check_interval": 30, "record_window": [0.25, 0.75],
+              "init_strategy": "w_average", "min_experts": 2},
+    "router": {"kind": "topk", "n_experts": 4, "top_k": 2},
+    "plugins": [{"name": "gshard_balance", "weight": 0.1},
+                {"name": "mean_k_efficiency", "weight": 2.0}],
+    "sweep": {"n_experts_grid": [2, 3], "top_k_grid": [1]},
+}
 
 
 def write_config(path: Path, **over):
@@ -28,7 +45,7 @@ class TestConfig:
         assert spec.task.n_skills == 3
         assert spec.train.steps == 100
         assert spec.train.adapt.max_experts == 6
-        assert spec.router_kind == "dynmoe"
+        assert spec.router.kind == "dynmoe"
 
     def test_parse_error_is_line_precise(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -55,6 +72,50 @@ class TestConfig:
     def test_bad_schema(self):
         with pytest.raises(ConfigError, match="unsupported schema"):
             parse_config_doc({"schema": "other/1"})
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"train": {"detach_router_tokens": "false"}}, r"train\.detach_router_tokens"),
+        ({"train": {"steps": 20.9}}, r"train\.steps"),
+        ({"train": {"steps": True}}, r"train\.steps"),
+        ({"train": {"learning_rate": "0.1"}}, r"train\.learning_rate"),
+        ({"train": {"combine": None}}, r"train\.combine"),
+        ({"train": {"optimizer": {"beta1": [0.9]}}}, r"train\.optimizer\.beta1"),
+        ({"train": {"adapt": {}}}, r"unknown key.*adapt"),
+        ({"adapt": {"record_window": [0.5]}}, r"adapt\.record_window"),
+        ({"adapt": {"max_experts": 0}}, r"adapt.*max_experts"),
+        ({"plugins": [{"name": "mean_k_efficiency", "wieght": 3}]}, r"plugins\[0\].*wieght"),
+        ({"plugins": [{"name": "bogus"}]}, r"plugins\[0\].*bogus"),
+        ({"plugins": [{"weight": 1.0}]}, r"plugins\[0\]\.name"),
+        ({"plugins": {"name": "gshard_balance"}}, r"plugins must be a list"),
+        ({"router": {"kind": "topk", "n_experts": 2, "top_k": 3}}, r"router.*top_k"),
+        ({"sweep": {"top_k_grid": [1, 1.5]}}, r"sweep\.top_k_grid\[1\]"),
+        ({"task": None}, r"task must be an object"),
+        ({"tasks": {}}, r"unknown top-level key.*tasks"),
+    ])
+    def test_bad_value_names_its_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_doc(doc)
+
+    def test_integral_float_accepted(self):
+        assert parse_config_doc({"train": {"steps": 20.0}}).train.steps == 20
+
+    @pytest.mark.parametrize("doc", [{}, {"adapt": None}, FULL_CONFIG])
+    def test_snapshot_is_a_fixed_point(self, doc):
+        spec = parse_config_doc(doc)
+        text = json.dumps(spec.snapshot(), sort_keys=True, indent=2)
+        again = parse_config_doc(json.loads(text))
+        assert again == spec
+        assert json.dumps(again.snapshot(), sort_keys=True, indent=2) == text
+
+    def test_full_config_sets_every_key(self):
+        # a key left at its default would not show that the parser reads it
+        defaults = parse_config_doc({}).snapshot()
+        full = parse_config_doc(FULL_CONFIG).snapshot()
+        for section in ("task", "train", "adapt", "router", "sweep"):
+            assert set(FULL_CONFIG[section]) == set(defaults[section])
+            for key, value in defaults[section].items():
+                assert full[section][key] != value, (section, key)
+        assert set(FULL_CONFIG["train"]["optimizer"]) == set(defaults["train"]["optimizer"])
 
 
 class TestCli:
@@ -148,8 +209,54 @@ class TestCli:
         assert doc["kind"] == "topk"
 
     def test_weighted_combine_flag(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json")
+        # every flag must reach config.snapshot; the file sets router.kind
+        # to topk, so --router dynmoe shows up only if the flag is applied
+        cfg = write_config(tmp_path / "c.json", router={"kind": "topk", "n_experts": 3, "top_k": 1})
+        train_flags = {"combine": "weighted", "seed": 4, "aux_weight": 0.5, "max_experts": 5,
+                       "check_interval": 30, "init_strategy": "average", "router": "dynmoe"}
+        baseline_flags = {"K": 4, "k": 2}
+        assert set(train_flags) | set(baseline_flags) == set(FLAG_KEYS)
+
+        def argv(flags):
+            return [a for dest, v in flags.items() for a in (f"--{dest.replace('_', '-')}", str(v))]
+
         out = tmp_path / "wc"
-        assert main(["train", str(cfg), "--combine", "weighted", "--out", str(out)]) == 0
-        snapshot = json.loads((out / "config.snapshot").read_text())
-        assert snapshot["train"]["combine"] == "weighted"
+        assert main(["train", str(cfg), *argv(train_flags), "--out", str(out)]) == 0
+        base = tmp_path / "base"
+        assert main(["baseline", str(cfg), *argv(baseline_flags), "--out", str(base)]) == 0
+        for run, flags in ((out, train_flags), (base, baseline_flags)):
+            snapshot = json.loads((run / "config.snapshot").read_text())
+            for dest, value in flags.items():
+                section, key = FLAG_KEYS[dest]
+                assert snapshot[section][key] == value, dest
+        assert json.loads((base / "config.snapshot").read_text())["router"]["kind"] == "topk"
+        assert json.loads((out / "checkpoint.final").read_text())["combine"] == "weighted"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--max-experts", "0"], "max_experts"),
+        (["baseline", "--K", "2", "--k", "3"], "top_k"),
+    ])
+    def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, argv, key):
+        cfg = write_config(tmp_path / "c.json")
+        assert main([argv[0], str(cfg), *argv[1:], "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "r").exists()
+
+    def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", adapt=None)
+        assert main(["train", str(cfg), "--check-interval", "20"]) == 2
+        assert "--check-interval" in capsys.readouterr().err
+
+    def test_eval_scores_the_held_out_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        run = tmp_path / "r"
+        assert main(["train", str(cfg), "--seed", "6", "--out", str(run)]) == 0
+        out = tmp_path / "e"
+        # the run's own config is its snapshot, flags included
+        assert main(["eval", str(run / "checkpoint.final"), str(run / "config.snapshot"),
+                     "--out", str(out)]) == 0
+        trained = json.loads((run / "artifacts.json").read_text())
+        scored = json.loads((out / "artifacts.json").read_text())
+        assert scored["final_accuracy"] == trained["final_accuracy"]
+        assert scored["mean_k"] == trained["mean_k"]

@@ -2,23 +2,27 @@ import numpy as np
 import pytest
 
 from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
+from dynmoe.harness import (
+    DynMoeBlock,
+    MoeClassifier,
+    TopKMoeBlock,
+    activated_params_total,
+    load_model,
+    save_model,
+)
 from dynmoe.moe_layer import (
     ExpertMlp,
     MoeLayer,
-    count_activated_params,
     gelu,
     gelu_grad,
     layer_from_doc,
     layer_to_doc,
-    load_layer,
     moe_backward,
-    moe_backward_weighted,
     moe_forward,
-    moe_forward_weighted,
-    save_layer,
 )
-from dynmoe.numerics import Param, cosine_scores_batch, finite_diff_grad, sigmoid
+from dynmoe.numerics import ConfigurationError, Param, cosine_scores_batch, finite_diff_grad, sigmoid
 from dynmoe.router import RouterParams, route_top_any, route_top_any_backward
+from dynmoe.telemetry import PassStats
 
 from conftest import rel_err
 
@@ -36,6 +40,19 @@ def layer_with_router(rng, w, g, d, h):
         d=d,
         h=h,
     )
+
+
+def one_block_model(layer, rng):
+    """A classifier around ``layer`` alone, for the model-level API."""
+    return MoeClassifier([DynMoeBlock(layer)], Param(rng.standard_normal((layer.d, 2))),
+                         Param(np.zeros(2)))
+
+
+def stats_with_k(k):
+    """Pass statistics of a pass whose tokens activate ``k`` experts each."""
+    k = np.asarray(k, dtype=np.int64)
+    return PassStats(counts=np.zeros(0, dtype=np.int64), hist=np.bincount(k),
+                     n_tokens=k.size, k_total=int(k.sum()))
 
 
 class TestGelu:
@@ -131,7 +148,7 @@ class TestMoeForwardWeighted:
         layer = build_layer(rng)
         tokens = rng.standard_normal((10, layer.d))
         out_mean, dec = moe_forward(layer, tokens)
-        out_w, _ = moe_forward_weighted(layer, tokens)
+        out_w, _ = moe_forward(layer, tokens, combine="weighted")
         singles = dec.k == 1
         assert np.any(singles)
         assert rel_err(out_w[singles], out_mean[singles]) < 1e-12
@@ -140,7 +157,7 @@ class TestMoeForwardWeighted:
         layer = build_layer(rng, n_experts=2)
         layer.router.w_g.value[:, 1] = layer.router.w_g.value[:, 0]
         tokens = rng.standard_normal((20, layer.d))
-        out_w, dec = moe_forward_weighted(layer, tokens)
+        out_w, dec = moe_forward(layer, tokens, combine="weighted")
         out_mean, _ = moe_forward(layer, tokens)
         both = dec.k == 2
         assert np.any(both)
@@ -151,7 +168,7 @@ class TestMoeForwardWeighted:
         d, h = 4, 6
         layer = build_layer(rng, d=d, h=h, n_experts=2)
         tokens = rng.standard_normal((1, d))
-        out_w, dec = moe_forward_weighted(layer, tokens)
+        out_w, dec = moe_forward(layer, tokens, combine="weighted")
         if dec.k[0] == 2:
             e_out = [ex.forward(tokens)[0][0] for ex in layer.experts]
             t = dec.sig_s[0]
@@ -160,6 +177,17 @@ class TestMoeForwardWeighted:
         sig = np.array([0.8, 0.6])
         w = sig / sig.sum()
         assert abs(w[0] - 4.0 / 7.0) < 1e-12 and abs(w[1] - 3.0 / 7.0) < 1e-12
+
+    def test_cache_carries_the_combine(self, rng):
+        layer = build_layer(rng)
+        tokens = rng.standard_normal((6, layer.d))
+        for combine in ("mean", "weighted"):
+            assert moe_forward(layer, tokens, combine=combine)[1].expert_cache[0] == combine
+
+    def test_unknown_combine_rejected(self, rng):
+        layer = build_layer(rng)
+        with pytest.raises(ConfigurationError, match="combine"):
+            moe_forward(layer, rng.standard_normal((3, layer.d)), combine="median")
 
 
 class TestMoeBackward:
@@ -251,8 +279,8 @@ class TestMoeBackward:
         tokens = rng.standard_normal((5, 4))
         coeff = rng.standard_normal((5, 4))
 
-        out, dec = moe_forward_weighted(layer, tokens)
-        moe_backward_weighted(layer, dec, tokens, coeff)
+        out, dec = moe_forward(layer, tokens, combine="weighted")
+        moe_backward(layer, dec, tokens, coeff)
         full_grad = layer.router.w_g.grad.copy()
 
         # isolate the straight-through contribution
@@ -344,11 +372,11 @@ class TestLayerBackwardEdgeStates:
     def test_all_grads_match_surrogate_fd(self, rng, state, weighted):
         layer, tokens = edge_batch_layer(rng, state)
         coeff = rng.standard_normal(tokens.shape)
-        fwd, bwd = (moe_forward_weighted, moe_backward_weighted) if weighted else (moe_forward, moe_backward)
-        _, dec = fwd(layer, tokens)
+        # the backward takes the combine from the forward's cache
+        _, dec = moe_forward(layer, tokens, combine="weighted" if weighted else "mean")
         assert np.any(dec.k == 0) and np.any(dec.k == 1) and np.any(dec.k == 2)
         assert np.any(dec.mask.sum(axis=0) == 0)
-        d_tokens = bwd(layer, dec, tokens, coeff)
+        d_tokens = moe_backward(layer, dec, tokens, coeff)
 
         def objective(_):
             return surrogate_objective(layer, tokens, coeff, dec, weighted)
@@ -365,55 +393,52 @@ class TestLayerBackwardEdgeStates:
 
 
 class TestBackwardNeedsCache:
-    @pytest.mark.parametrize("bwd", [moe_backward, moe_backward_weighted])
-    def test_eval_decision_rejected(self, rng, bwd):
+    @pytest.mark.parametrize("combine", ["mean", "weighted"])
+    def test_eval_decision_rejected(self, rng, combine):
         layer = build_layer(rng)
         tokens = rng.standard_normal((6, layer.d))
-        _, dec = moe_forward(layer, tokens, mode="eval")
+        _, dec = moe_forward(layer, tokens, mode="eval", combine=combine)
         assert dec.expert_cache is None
         with pytest.raises(ValueError, match="no expert cache"):
-            bwd(layer, dec, tokens, np.ones_like(tokens))
+            moe_backward(layer, dec, tokens, np.ones_like(tokens))
 
-    @pytest.mark.parametrize("bwd", [moe_backward, moe_backward_weighted])
-    def test_bare_router_decision_rejected(self, rng, bwd):
+    def test_bare_router_decision_rejected(self, rng):
         layer = build_layer(rng)
         tokens = rng.standard_normal((6, layer.d))
         dec = route_top_any(tokens, layer.router)
         with pytest.raises(ValueError, match="no expert cache"):
-            bwd(layer, dec, tokens, np.ones_like(tokens))
+            moe_backward(layer, dec, tokens, np.ones_like(tokens))
 
 
 class TestCountActivatedParams:
+    """``activated_params_total``: router parameters plus mean k experts."""
+
     def test_all_k1(self, rng):
         layer = build_layer(rng, d=4, h=3, n_experts=2)
         per_expert = layer.experts[0].param_count()
         router = 4 * 2 + 2
-
-        class Dec:
-            k = np.ones(7, dtype=np.int64)
-
-        assert count_activated_params(layer, Dec()) == router + per_expert
+        model = one_block_model(layer, rng)
+        assert activated_params_total(model, [stats_with_k(np.ones(7))]) == router + per_expert
 
     def test_mean_of_mixed_k(self, rng):
         layer = build_layer(rng, d=4, h=3, n_experts=4)
         per_expert = layer.experts[0].param_count()
         router = 4 * 4 + 4
-
-        class Dec:
-            k = np.array([1, 3, 1, 3], dtype=np.int64)
-
-        assert count_activated_params(layer, Dec()) == router + 2 * per_expert
+        model = one_block_model(layer, rng)
+        total = activated_params_total(model, [stats_with_k([1, 3, 1, 3])])
+        assert total == router + 2 * per_expert
 
     def test_monotone_in_k(self, rng):
-        layer = build_layer(rng, n_experts=4)
-
-        class Dec:
-            def __init__(self, k):
-                self.k = k
-
-        low = count_activated_params(layer, Dec(np.array([1, 1, 2])))
-        high = count_activated_params(layer, Dec(np.array([1, 2, 2])))
+        model = one_block_model(build_layer(rng, n_experts=4), rng)
+        low = activated_params_total(model, [stats_with_k([1, 1, 2])])
+        high = activated_params_total(model, [stats_with_k([1, 2, 2])])
         assert high > low
+
+    def test_topk_router_has_no_thresholds(self, rng):
+        block = TopKMoeBlock.random(4, 3, 4, 2, rng)
+        model = MoeClassifier([block], Param(np.zeros((4, 2))), Param(np.zeros(2)))
+        per_expert = block.experts[0].param_count()
+        assert activated_params_total(model, [stats_with_k([2, 2])]) == 4 * 4 + 2 * per_expert
 
 
 class TestCheckpoint:
@@ -422,9 +447,9 @@ class TestCheckpoint:
         tokens = rng.standard_normal((9, 6))
         out1, dec1 = moe_forward(layer, tokens)
 
-        path = tmp_path / "layer.json"
-        save_layer(layer, path)
-        restored = load_layer(path)
+        path = tmp_path / "model.json"
+        save_model(one_block_model(layer, rng), path)
+        restored = load_model(path).blocks[0].layer
         out2, dec2 = moe_forward(restored, tokens)
 
         np.testing.assert_array_equal(out1, out2)
@@ -432,14 +457,14 @@ class TestCheckpoint:
 
     def test_round_trip_values_exact(self, rng, tmp_path):
         layer = build_layer(rng)
-        path = tmp_path / "layer.json"
-        save_layer(layer, path)
-        restored = load_layer(path)
+        path = tmp_path / "model.json"
+        save_model(one_block_model(layer, rng), path)
+        restored = load_model(path).blocks[0].layer
         np.testing.assert_array_equal(restored.router.w_g.value, layer.router.w_g.value)
         np.testing.assert_array_equal(restored.router.g.value, layer.router.g.value)
         for a, b in zip(restored.experts, layer.experts):
-            np.testing.assert_array_equal(a.w1.value, b.w1.value)
-            np.testing.assert_array_equal(a.b2.value, b.b2.value)
+            for p, q in zip(a.params(), b.params()):
+                np.testing.assert_array_equal(p.value, q.value)
 
     def test_unknown_schema_rejected(self, rng):
         layer = build_layer(rng)

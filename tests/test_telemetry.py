@@ -6,13 +6,9 @@ from dynmoe.router import GatingDecision, RouterParams, route_eval
 from dynmoe.telemetry import (
     MetricsLog,
     PassStats,
-    activation_frequency,
     expert_similarity_matrix,
     gate_threshold_dump,
-    mean_top_k,
-    topk_frequency,
 )
-
 
 
 def decision_from_mask(mask, sig_s=None):
@@ -32,11 +28,11 @@ class TestActivationFrequency:
     def test_everyone_on_expert_zero(self):
         mask = np.zeros((6, 4))
         mask[:, 0] = 1.0
-        freq = activation_frequency([decision_from_mask(mask)])
+        freq = PassStats.from_decisions([decision_from_mask(mask)]).activation_frequency
         np.testing.assert_array_equal(freq, [1.0, 0.0, 0.0, 0.0])
 
     def test_everyone_on_all_experts(self):
-        freq = activation_frequency([decision_from_mask(np.ones((5, 3)))])
+        freq = PassStats.from_decisions([decision_from_mask(np.ones((5, 3)))]).activation_frequency
         np.testing.assert_array_equal(freq, 1.0)
 
     def test_sum_equals_mean_k_via_integer_counters(self, rng):
@@ -55,14 +51,14 @@ class TestActivationFrequency:
 
     def test_empty_pass_rejected(self):
         with pytest.raises(ValueError):
-            activation_frequency([])
+            PassStats.from_decisions([])
 
 
 class TestTopkFrequency:
     def test_all_tokens_k1(self):
         mask = np.zeros((7, 3))
         mask[:, 1] = 1.0
-        freq = topk_frequency([decision_from_mask(mask)])
+        freq = PassStats.from_decisions([decision_from_mask(mask)]).topk_frequency
         np.testing.assert_array_equal(freq, [0.0, 1.0, 0.0, 0.0])
 
     def test_integer_histogram_sums_to_token_count(self, rng):
@@ -73,7 +69,7 @@ class TestTopkFrequency:
     def test_matches_histogram_oracle(self, rng):
         masks = (rng.uniform(size=(40, 4)) < 0.4).astype(np.float64)
         dec = decision_from_mask(masks)
-        freq = topk_frequency([dec])
+        freq = PassStats.from_decisions([dec]).topk_frequency
         want = np.zeros(5)
         for i in range(40):
             want[int(masks[i].sum())] += 1
@@ -83,7 +79,7 @@ class TestTopkFrequency:
     def test_mean_top_k(self, rng):
         masks = (rng.uniform(size=(30, 4)) < 0.5).astype(np.float64)
         dec = decision_from_mask(masks)
-        assert mean_top_k([dec]) == masks.sum() / 30
+        assert PassStats.from_decisions([dec]).mean_top_k == masks.sum() / 30
 
 
 class TestSimilarityMatrix:

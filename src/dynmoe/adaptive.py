@@ -45,9 +45,6 @@ class RoutingRecord:
         self.r_s[:] = 0.0
         self.recording = True
 
-    def stop(self) -> None:
-        self.recording = False
-
 
 def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> RoutingRecord:
     """Accumulate one batch's routing outcome into the record.
@@ -125,47 +122,42 @@ class AdaptReport:
         }
 
 
-def init_new_expert(strategy: str, experts: list, r_e: np.ndarray, rng=None, dim=None, hidden=None):
-    """Build the weights of a newly added expert from the existing ones.
+def init_new_expert(strategy: str, experts, r_e: np.ndarray, rng=None) -> list[np.ndarray]:
+    """Build the tensors of a newly added expert from the existing ones.
 
-    ``paper_rs`` draws fresh random weights with the same scheme used for
-    the initial experts; ``average`` takes the arithmetic mean of all
-    existing expert tensors; ``w_average`` weights that mean by the recorded
-    activation counts (falling back to the plain average when all counts are
-    zero); ``most_activated`` copies the expert with the highest count.
+    ``experts`` is an ``ExpertMlp`` bank; the result holds one slice per bank
+    tensor, in ``experts.params()`` order. ``paper_rs`` draws fresh random
+    weights with the same scheme used for the initial experts; ``average``
+    takes the arithmetic mean over the expert axis; ``w_average`` weights
+    that mean by the recorded activation counts (falling back to the plain
+    average when all counts are zero); ``most_activated`` copies the expert
+    with the highest count.
     """
-    if not experts:
-        raise ValueError("cannot initialize a new expert from an empty expert list")
+    if experts.n_experts == 0:
+        raise ValueError("cannot initialize a new expert from an empty expert bank")
     if strategy not in INIT_STRATEGIES:
         raise ConfigurationError(
             f"unknown init_strategy {strategy!r}; choose from {INIT_STRATEGIES}"
         )
-    proto = experts[0]
     if strategy == "paper_rs":
         if rng is None:
             rng = np.random.default_rng(0)
-        d = dim if dim is not None else proto.w1.value.shape[0]
-        h = hidden if hidden is not None else proto.w1.value.shape[1]
-        return type(proto).random(d, h, rng)
+        fresh = type(experts).random(*experts.w1.shape[1:], 1, rng)
+        return [p.value[0] for p in fresh.params()]
     if strategy == "most_activated":
-        return experts[int(np.argmax(r_e))].copy()
+        e = int(np.argmax(r_e))
+        return [p.value[e].copy() for p in experts.params()]
 
     r_e = np.asarray(r_e, dtype=np.float64)
     if strategy == "w_average" and r_e.sum() == 0.0:
         log.warning("w_average requested with all-zero counts; falling back to average")
         strategy = "average"
     if strategy == "average":
-        coeffs = np.full(len(experts), 1.0 / len(experts))
+        coeffs = np.full(experts.n_experts, 1.0 / experts.n_experts)
     else:
         coeffs = r_e / r_e.sum()
-
-    new = proto.copy()
-    for name in ("w1", "b1", "w2", "b2"):
-        blended = np.zeros_like(getattr(proto, name).value)
-        for c, expert in zip(coeffs, experts):
-            blended += c * getattr(expert, name).value
-        getattr(new, name).replace(blended)
-    return new
+    return [(coeffs.reshape((-1,) + (1,) * (p.value.ndim - 1)) * p.value).sum(axis=0)
+            for p in experts.params()]
 
 
 def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
@@ -177,9 +169,10 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
     Then, if the record holds unserved-token mass and there is room under
     ``cfg.max_experts``, one expert is appended with representation column
     r_s / |r_s| and threshold 0, its weights built per ``cfg.init_strategy``.
-    The record is reset either way.
+    Both steps take or append one slice along the expert axis of every
+    tensor in ``layer.expert_indexed()``. The record is reset either way.
     """
-    n_before = len(layer.experts)
+    n_before = layer.n_experts
     report = AdaptReport(new_k_total=n_before)
 
     candidates = [e for e in range(n_before) if rec.r_e[e] == 0]
@@ -190,37 +183,21 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
         removed = candidates[len(candidates) - n_drop:]
     else:
         removed = candidates
+    keep = [e for e in range(n_before) if e not in removed]
     if removed:
-        keep = [e for e in range(n_before) if e not in removed]
-        router = layer.router
-        router.w_g.replace(router.w_g.value[:, keep], router.w_g.grad[:, keep])
-        router.g.replace(router.g.value[keep], router.g.grad[keep])
-        layer.experts = [layer.experts[e] for e in keep]
+        for p, axis in layer.expert_indexed():
+            p.replace(np.take(p.value, keep, axis=axis))
         report.removed_experts = removed
 
-    n_now = len(layer.experts)
     r_s_norm = float(np.linalg.norm(rec.r_s))
-    if r_s_norm > 0.0 and n_now < cfg.max_experts:
-        kept_counts = np.asarray(
-            [rec.r_e[e] for e in range(n_before) if e not in removed], dtype=np.int64
-        )
-        new_expert = init_new_expert(
-            cfg.init_strategy, layer.experts, kept_counts, rng=rng, dim=layer.d, hidden=layer.h
-        )
-        router = layer.router
-        new_col = (rec.r_s / r_s_norm)[:, None]
-        router.w_g.replace(
-            np.concatenate([router.w_g.value, new_col], axis=1),
-            np.concatenate([router.w_g.grad, np.zeros_like(new_col)], axis=1),
-        )
-        router.g.replace(
-            np.concatenate([router.g.value, [0.0]]),
-            np.concatenate([router.g.grad, [0.0]]),
-        )
-        layer.experts.append(new_expert)
+    if r_s_norm > 0.0 and len(keep) < cfg.max_experts:
+        new = [rec.r_s / r_s_norm, 0.0,
+               *init_new_expert(cfg.init_strategy, layer.experts, rec.r_e[keep], rng=rng)]
+        for (p, axis), value in zip(layer.expert_indexed(), new):
+            p.replace(np.concatenate([p.value, np.expand_dims(value, axis)], axis=axis))
         report.added = True
 
-    report.new_k_total = len(layer.experts)
+    report.new_k_total = layer.n_experts
     assert report.new_k_total == n_before - len(report.removed_experts) + int(report.added)
     assert cfg.min_experts <= report.new_k_total <= cfg.max_experts
 

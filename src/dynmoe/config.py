@@ -19,7 +19,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .adaptive import AdaptConfig
-from .harness import TrainConfig
+from .harness import TrainConfig, check_task_args
 from .losses import get_plugin
 from .numerics import ConfigurationError
 
@@ -36,6 +36,9 @@ class TaskSpec:
     d: int = 16
     n_samples: int = 8000
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        check_task_args(self.n_skills, self.d, self.n_samples, self.seed)
 
 
 @dataclass
@@ -67,6 +70,11 @@ class PluginSpec:
 class SweepSpec:
     n_experts_grid: tuple[int, ...] = (2, 4, 8)
     top_k_grid: tuple[int, ...] = (1, 2)
+
+    def __post_init__(self) -> None:
+        bad = [(n, k) for n in self.n_experts_grid for k in self.top_k_grid if not 1 <= k <= n]
+        if bad:
+            raise ConfigurationError(f"(n_experts, top_k) pairs outside 1 <= top_k <= n_experts: {bad}")
 
 
 @dataclass

@@ -62,69 +62,70 @@ def gelu_grad(u: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ExpertMlp:
-    """Two-layer MLP expert: d -> hidden -> d with a smooth activation."""
+    """The two-layer MLP experts (d -> hidden -> d, smooth activation) of one
+    layer, stacked: slot e of every tensor belongs to expert e.
 
-    w1: Param  # (d, h)
-    b1: Param  # (h,)
-    w2: Param  # (h, d)
-    b2: Param  # (d,)
+    Each tensor keeps one optimizer step count per slot (``Param.slot_steps``),
+    as separate per-expert Params would: a slot the adaptive process appends
+    starts its Adam bias correction at step 1 while kept slots continue theirs.
+    """
+
+    w1: Param  # (K, d, h)
+    b1: Param  # (K, h)
+    w2: Param  # (K, h, d)
+    b2: Param  # (K, d)
 
     @classmethod
-    def random(cls, dim: int, hidden: int, rng: np.random.Generator) -> "ExpertMlp":
-        return cls(
-            w1=Param(rng.standard_normal((dim, hidden)) / math.sqrt(dim), name="w1"),
-            b1=Param(np.zeros(hidden), name="b1"),
-            w2=Param(rng.standard_normal((hidden, dim)) / math.sqrt(hidden), name="w2"),
-            b2=Param(np.zeros(dim), name="b2"),
-        )
+    def from_arrays(cls, w1, b1, w2, b2) -> "ExpertMlp":
+        values = dict(zip(EXPERT_TENSORS, (w1, b1, w2, b2)))
+        return cls(**{name: Param(v, name=name, slot_steps=True) for name, v in values.items()})
+
+    @classmethod
+    def random(cls, dim: int, hidden: int, n_experts: int, rng: np.random.Generator) -> "ExpertMlp":
+        w1, w2 = [], []
+        for _ in range(n_experts):  # w1 then w2 per expert: the draw order seeded runs rely on
+            w1.append(rng.standard_normal((dim, hidden)) / math.sqrt(dim))
+            w2.append(rng.standard_normal((hidden, dim)) / math.sqrt(hidden))
+        return cls.from_arrays(np.array(w1), np.zeros((n_experts, hidden)),
+                               np.array(w2), np.zeros((n_experts, dim)))
 
     @property
-    def dim(self) -> int:
+    def n_experts(self) -> int:
         return self.w1.value.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.value.shape[1]
 
     def params(self) -> list[Param]:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def param_count(self) -> int:
-        d, h = self.dim, self.hidden
-        return d * h + h + h * d + d
+        """Parameters of one expert."""
+        return sum(p.value[0].size for p in self.params())
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        pre = x @ self.w1.value + self.b1.value
+    def forward(self, e: int, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Expert e on the rows ``x``."""
+        pre = x @ self.w1.value[e] + self.b1.value[e]
         act = gelu(pre)
-        out = act @ self.w2.value + self.b2.value
+        out = act @ self.w2.value[e] + self.b2.value[e]
         return out, (x, pre, act)
 
-    def backward(self, cache: tuple, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, e: int, cache: tuple, upstream: np.ndarray) -> np.ndarray:
+        """Accumulate expert e's gradients; return the gradient of its rows."""
         x, pre, act = cache
-        self.w2.accumulate(act.T @ upstream)
-        self.b2.accumulate(upstream.sum(axis=0))
-        d_act = upstream @ self.w2.value.T
+        self.w2.accumulate(act.T @ upstream, e)
+        self.b2.accumulate(upstream.sum(axis=0), e)
+        d_act = upstream @ self.w2.value[e].T
         d_pre = d_act * gelu_grad(pre)
-        self.w1.accumulate(x.T @ d_pre)
-        self.b1.accumulate(d_pre.sum(axis=0))
-        return d_pre @ self.w1.value.T
-
-    def copy(self) -> "ExpertMlp":
-        return ExpertMlp(
-            w1=Param(self.w1.value.copy(), name="w1"),
-            b1=Param(self.b1.value.copy(), name="b1"),
-            w2=Param(self.w2.value.copy(), name="w2"),
-            b2=Param(self.b2.value.copy(), name="b2"),
-        )
+        self.w1.accumulate(x.T @ d_pre, e)
+        self.b1.accumulate(d_pre.sum(axis=0), e)
+        return d_pre @ self.w1.value[e].T
 
 
 @dataclass(eq=False)
 class MoeLayer:
-    """Router, expert list and routing record; the unit the adaptive
-    process resizes."""
+    """Router, experts and routing record; the unit the adaptive process
+    resizes."""
 
     router: RouterParams
-    experts: list[ExpertMlp]
+    experts: ExpertMlp
     record: RoutingRecord
     d: int
     h: int
@@ -134,41 +135,43 @@ class MoeLayer:
 
     def validate(self) -> None:
         k = self.router.n_experts
-        if len(self.experts) != k:
+        if self.experts.n_experts != k:
             raise DimensionError(
-                f"router has {k} experts but layer holds {len(self.experts)} MLPs"
+                f"router has {k} experts but layer holds {self.experts.n_experts} MLPs"
             )
         if self.record.r_e.shape[0] != k:
             raise DimensionError(
                 f"routing record tracks {self.record.r_e.shape[0]} experts, layer has {k}"
             )
-        for expert in self.experts:
-            if expert.dim != self.d or expert.hidden != self.h:
-                raise DimensionError("expert shape inconsistent with layer dims")
+        d, h = self.d, self.h
+        if [p.shape for p in self.experts.params()] != [(k, d, h), (k, h), (k, h, d), (k, d)]:
+            raise DimensionError("expert tensor shapes inconsistent with layer dims")
 
     @property
     def n_experts(self) -> int:
-        return len(self.experts)
+        return self.experts.n_experts
 
     @classmethod
     def random(cls, dim: int, hidden: int, n_experts: int, rng: np.random.Generator) -> "MoeLayer":
         return cls(
             router=RouterParams.random(dim, n_experts, rng),
-            experts=[ExpertMlp.random(dim, hidden, rng) for _ in range(n_experts)],
+            experts=ExpertMlp.random(dim, hidden, n_experts, rng),
             record=RoutingRecord.fresh(n_experts, dim),
             d=dim,
             h=hidden,
         )
 
     def params(self) -> list[Param]:
-        out = [self.router.w_g, self.router.g]
-        for expert in self.experts:
-            out.extend(expert.params())
-        return out
+        return [self.router.w_g, self.router.g, *self.experts.params()]
+
+    def expert_indexed(self) -> list[tuple[Param, int]]:
+        """Every tensor with an expert axis, paired with that axis: the
+        router's ``w_g`` columns and ``g``, then the expert tensors."""
+        return [(self.router.w_g, 1), (self.router.g, 0)] + [(p, 0) for p in self.experts.params()]
 
 
 def _dispatch(
-    experts: list[ExpertMlp],
+    experts: ExpertMlp,
     tokens: np.ndarray,
     mask: np.ndarray,
     weights: np.ndarray,
@@ -182,25 +185,25 @@ def _dispatch(
     """
     out = np.zeros_like(tokens)
     pairs = [] if keep_cache else None
-    for e, expert in enumerate(experts):
+    for e in range(experts.n_experts):
         idx = np.nonzero(mask[:, e] > 0.0)[0]
         if not idx.size:
             continue
         if keep_cache:
-            out_e, cache_e = expert.forward(tokens[idx])
+            out_e, cache_e = experts.forward(e, tokens[idx])
             pairs.append((e, idx, out_e, cache_e))
             out[idx] += weights[idx, e, None] * out_e
         else:
             # Nothing is kept: drop the expert cache at once and scale the
             # output in place, so the next expert reuses the freed buffers.
-            out_e = expert.forward(tokens[idx])[0]
+            out_e = experts.forward(e, tokens[idx])[0]
             out_e *= weights[idx, e, None]
             out[idx] += out_e
     return out, pairs
 
 
 def _pairs_backward(
-    experts: list[ExpertMlp],
+    experts: ExpertMlp,
     pairs: list | None,
     upstream: np.ndarray,
     weights: np.ndarray,
@@ -221,7 +224,7 @@ def _pairs_backward(
     for e, idx, out_e, cache_e in pairs:
         u = upstream[idx]
         dots[idx, e] = (out_e * u).sum(axis=1)
-        d_tokens[idx] += experts[e].backward(cache_e, u * weights[idx, e, None])
+        d_tokens[idx] += experts.backward(e, cache_e, u * weights[idx, e, None])
     return d_tokens, dots
 
 
@@ -302,10 +305,10 @@ def moe_backward(
     # The mask seed <u_i, E_e(x_i) - y_i> / T_i also needs the outputs of
     # experts a token did not activate; rows with T_i = 0 have a zero seed.
     off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
-    for e, expert in enumerate(layer.experts):
+    for e in range(layer.n_experts):
         idx = np.nonzero(off[:, e])[0]
         if idx.size:
-            dots[idx, e] = (expert.forward(tokens[idx])[0] * upstream[idx]).sum(axis=1)
+            dots[idx, e] = (layer.experts.forward(e, tokens[idx])[0] * upstream[idx]).sum(axis=1)
     d_t = (dots - (weights * dots).sum(axis=1, keepdims=True)) * inv_t[:, None]
     if weighted:
         # Product rule on t = sig_s * mask: the sig_s path is a real
@@ -321,16 +324,15 @@ def moe_backward(
     return d_tokens
 
 
-def experts_to_doc(experts: list[ExpertMlp]) -> list[dict]:
-    """Checkpoint form of an expert list; float repr round-trips bit-exactly."""
-    return [{name: getattr(e, name).value.tolist() for name in EXPERT_TENSORS} for e in experts]
+def experts_to_doc(experts: ExpertMlp) -> list[dict]:
+    """Checkpoint form of the experts, one entry per expert; float repr
+    round-trips bit-exactly."""
+    return [{p.name: p.value[e].tolist() for p in experts.params()}
+            for e in range(experts.n_experts)]
 
 
-def experts_from_doc(docs: list[dict]) -> list[ExpertMlp]:
-    return [
-        ExpertMlp(**{name: Param(np.array(doc[name]), name=name) for name in EXPERT_TENSORS})
-        for doc in docs
-    ]
+def experts_from_doc(docs: list[dict]) -> ExpertMlp:
+    return ExpertMlp.from_arrays(*(np.array([doc[name] for doc in docs]) for name in EXPERT_TENSORS))
 
 
 def layer_to_doc(layer: MoeLayer) -> dict:
@@ -354,7 +356,7 @@ def layer_from_doc(doc: dict) -> MoeLayer:
     return MoeLayer(
         router=router,
         experts=experts,
-        record=RoutingRecord.fresh(len(experts), doc["d"]),
+        record=RoutingRecord.fresh(experts.n_experts, doc["d"]),
         d=doc["d"],
         h=doc["h"],
     )

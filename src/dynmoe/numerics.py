@@ -54,10 +54,15 @@ class Param:
     semantics: optimizers key their state on the object, which is what lets
     the adaptive process resize ``value`` in place without losing state for
     the surviving entries.
+
+    ``slot_steps`` marks axis 0 as a stack of independent slots (one expert
+    each): optimizers then keep one step count per slot, so a slot appended
+    later starts its own bias correction.
     """
 
     value: np.ndarray
     name: str = ""
+    slot_steps: bool = False
     grad: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -69,33 +74,24 @@ class Param:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.value)
+        self.grad.fill(0.0)
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, slot: int | None = None) -> None:
+        """Add ``g`` to the gradient, or to its slot ``slot`` along axis 0."""
+        grad = self.grad if slot is None else self.grad[slot]
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != self.value.shape:
+        if g.shape != grad.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match param {self.name!r} "
-                f"shape {self.value.shape}"
+                f"shape {grad.shape}"
             )
-        self.grad = self.grad + g
+        grad += g
 
-    def replace(self, value: np.ndarray, grad: np.ndarray | None = None) -> None:
-        """Swap in new storage, e.g. when an expert column is added or removed.
-
-        The gradient is zeroed unless an explicitly resized one is supplied.
-        """
+    def replace(self, value: np.ndarray) -> None:
+        """Swap in new storage, e.g. when an expert slot is added or removed.
+        The gradient restarts at zero."""
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        if grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            grad = np.ascontiguousarray(grad, dtype=np.float64)
-            if grad.shape != self.value.shape:
-                raise DimensionError(
-                    f"replacement grad shape {grad.shape} does not match "
-                    f"value shape {self.value.shape}"
-                )
-            self.grad = grad
+        self.grad = np.zeros_like(self.value)
 
 
 def cosine_scores_batch(tokens: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -125,9 +125,6 @@ class MetricsLog:
         self.rows.append(MetricsRow(step=step, layer=layer, metric=metric,
                                     values=tuple(float(v) for v in arr)))
 
-    def rows_for(self, metric: str) -> list[MetricsRow]:
-        return [r for r in self.rows if r.metric == metric]
-
     def to_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:

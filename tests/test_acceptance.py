@@ -136,20 +136,20 @@ class TestCriterion2SteCorrectness:
             moe_backward(layer, dec, tokens, coeff)
             for e in range(3):
                 for name in ("w1", "b1", "w2", "b2"):
-                    target = getattr(layer.experts[e], name)
+                    target = getattr(layer.experts, name)
 
-                    def objective(p, _t=target):
-                        saved = _t.value
-                        _t.value = p.value
+                    def objective(p, _t=target, _e=e):
+                        saved = _t.value[_e].copy()
+                        _t.value[_e] = p.value
                         try:
                             out2, dec2 = moe_forward(layer, tokens)
                             assert np.array_equal(dec2.mask, dec.mask)  # mask stability
                             return float((coeff * out2).sum())
                         finally:
-                            _t.value = saved
+                            _t.value[_e] = saved
 
-                    fd = finite_diff_grad(objective, Param(target.value.copy()), eps=1e-6)
-                    fd_worst = max(fd_worst, rel_err(target.grad, fd))
+                    fd = finite_diff_grad(objective, Param(target.value[e].copy()), eps=1e-6)
+                    fd_worst = max(fd_worst, rel_err(target.grad[e], fd))
         assert fd_worst < 1e-4
 
         elapsed = time.monotonic() - t0

@@ -102,7 +102,7 @@ class TestAdapt:
         new_col = layer.router.w_g.value[:, -1]
         assert rel_err(new_col, direction / np.linalg.norm(direction)) < 1e-12
         assert layer.router.g.value[-1] == 0.0
-        assert len(layer.experts) == 4
+        assert layer.experts.n_experts == 4
 
     def test_no_room_no_add(self, rng):
         layer = build_layer(rng, n_experts=3)
@@ -208,60 +208,53 @@ class TestAdapt:
 
 class TestInitNewExpert:
     def test_average_of_opposite_experts_is_zero(self, rng):
-        e1 = ExpertMlp.random(4, 3, rng)
-        e2 = e1.copy()
-        for name in ("w1", "b1", "w2", "b2"):
-            getattr(e2, name).replace(-getattr(e1, name).value)
-        new = init_new_expert("average", [e1, e2], np.array([1, 1]))
-        for name in ("w1", "b1", "w2", "b2"):
-            np.testing.assert_allclose(getattr(new, name).value, 0.0, atol=1e-15)
+        e1 = ExpertMlp.random(4, 3, 1, rng)
+        opposite = ExpertMlp.from_arrays(*(np.concatenate([p.value, -p.value]) for p in e1.params()))
+        new = init_new_expert("average", opposite, np.array([1, 1]))
+        for got in new:
+            np.testing.assert_allclose(got, 0.0, atol=1e-15)
 
     def test_w_average_degenerate_weights_copies(self, rng):
-        e1 = ExpertMlp.random(4, 3, rng)
-        e2 = ExpertMlp.random(4, 3, rng)
-        new = init_new_expert("w_average", [e1, e2], np.array([0, 7]))
-        for name in ("w1", "b1", "w2", "b2"):
-            np.testing.assert_allclose(
-                getattr(new, name).value, getattr(e2, name).value, atol=1e-15
-            )
+        experts = ExpertMlp.random(4, 3, 2, rng)
+        new = init_new_expert("w_average", experts, np.array([0, 7]))
+        for got, p in zip(new, experts.params()):
+            np.testing.assert_allclose(got, p.value[1], atol=1e-15)
 
     def test_w_average_matches_direct_loop(self, rng):
-        experts = [ExpertMlp.random(5, 4, rng) for _ in range(3)]
+        experts = ExpertMlp.random(5, 4, 3, rng)
         counts = np.array([1, 2, 3])
         new = init_new_expert("w_average", experts, counts)
-        for name in ("w1", "b1", "w2", "b2"):
-            want = sum(
-                c * getattr(e, name).value for c, e in zip(counts, experts)
-            ) / counts.sum()
-            assert rel_err(getattr(new, name).value, want) < 1e-12
+        for got, p in zip(new, experts.params()):
+            want = sum(c * p.value[e] for e, c in enumerate(counts)) / counts.sum()
+            assert rel_err(got, want) < 1e-12
 
     def test_w_average_all_zero_falls_back_to_average(self, rng):
-        experts = [ExpertMlp.random(4, 3, rng) for _ in range(2)]
+        experts = ExpertMlp.random(4, 3, 2, rng)
         new = init_new_expert("w_average", experts, np.array([0, 0]))
-        for name in ("w1", "b1", "w2", "b2"):
-            want = 0.5 * (getattr(experts[0], name).value + getattr(experts[1], name).value)
-            assert rel_err(getattr(new, name).value, want) < 1e-12
+        for got, p in zip(new, experts.params()):
+            want = 0.5 * (p.value[0] + p.value[1])
+            assert rel_err(got, want) < 1e-12
 
     def test_most_activated_copies_argmax(self, rng):
-        experts = [ExpertMlp.random(4, 3, rng) for _ in range(3)]
-        new = init_new_expert("most_activated", experts, np.array([2, 9, 1]))
-        np.testing.assert_array_equal(new.w1.value, experts[1].w1.value)
-        new.w1.value[0, 0] += 1.0  # must be an independent copy
-        assert new.w1.value[0, 0] != experts[1].w1.value[0, 0]
+        experts = ExpertMlp.random(4, 3, 3, rng)
+        w1 = init_new_expert("most_activated", experts, np.array([2, 9, 1]))[0]
+        np.testing.assert_array_equal(w1, experts.w1.value[1])
+        w1[0, 0] += 1.0  # must be an independent copy
+        assert w1[0, 0] != experts.w1.value[1, 0, 0]
 
     def test_paper_rs_fresh_random(self, rng):
-        experts = [ExpertMlp.random(4, 3, rng) for _ in range(2)]
-        new = init_new_expert("paper_rs", experts, np.array([1, 1]), rng=rng)
-        assert new.w1.value.shape == (4, 3)
-        assert not np.allclose(new.w1.value, experts[0].w1.value)
+        experts = ExpertMlp.random(4, 3, 2, rng)
+        w1 = init_new_expert("paper_rs", experts, np.array([1, 1]), rng=rng)[0]
+        assert w1.shape == (4, 3)
+        assert not np.allclose(w1, experts.w1.value[0])
 
     def test_unknown_strategy_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            init_new_expert("bogus", [ExpertMlp.random(2, 2, rng)], np.array([1]))
+            init_new_expert("bogus", ExpertMlp.random(2, 2, 1, rng), np.array([1]))
 
-    def test_empty_expert_list_rejected(self):
+    def test_empty_expert_list_rejected(self, rng):
         with pytest.raises(ValueError):
-            init_new_expert("average", [], np.array([]))
+            init_new_expert("average", ExpertMlp.random(2, 2, 0, rng), np.array([]))
 
 
 class TestAdaptConfig:

@@ -91,6 +91,13 @@ class TestConfig:
         ({"sweep": {"top_k_grid": [1, 1.5]}}, r"sweep\.top_k_grid\[1\]"),
         ({"task": None}, r"task must be an object"),
         ({"tasks": {}}, r"unknown top-level key.*tasks"),
+        ({"task": {"d": 3}}, r"task: .*need d >= n_skills \+ 2"),
+        ({"task": {"n_samples": 0}}, r"task: n_samples"),
+        ({"task": {"seed": -1}}, r"task: seed"),
+        ({"train": {"seed": -1}}, r"train: seed"),
+        ({"sweep": {"n_experts_grid": [2], "top_k_grid": [3]}}, r"sweep: .*\[\(2, 3\)\]"),
+        ({"sweep": {"n_experts_grid": [4, 1], "top_k_grid": [2]}}, r"sweep: .*\[\(1, 2\)\]"),
+        ({"sweep": {"top_k_grid": [0]}}, r"sweep: .*\[\(2, 0\), \(4, 0\), \(8, 0\)\]"),
     ])
     def test_bad_value_names_its_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
@@ -241,6 +248,17 @@ class TestCli:
         assert main([argv[0], str(cfg), *argv[1:], "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("train", {"task": {"d": 3}}),
+        ("sweep", {"task": {"n_samples": 0}}),
+        ("sweep", {"sweep": {"n_experts_grid": [2], "top_k_grid": [3]}}),
+    ])
+    def test_bad_section_exits_before_the_run(self, tmp_path, capsys, command, section):
+        cfg = write_config(tmp_path / "c.json", **section)
+        assert main([command, str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):

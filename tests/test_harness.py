@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmoe.adaptive import AdaptConfig
 from dynmoe.harness import (
@@ -127,17 +129,84 @@ class TestOptimizers:
         np.testing.assert_array_equal(st["m"][:, 1], m_before[:, 2])
         np.testing.assert_array_equal(st["m"][:, 2], 0.0)
 
-    def test_adam_drop(self):
+    def test_adam_resize_remaps_slot_step_counts(self):
         opt = Adam(lr=0.1)
-        p = Param(np.ones(2))
-        p.accumulate(np.ones(2))
-        opt.step([p])
-        opt.drop(p)
-        assert p not in opt.state
+        p = Param(np.ones((3, 2)), slot_steps=True)
+        shared = Param(np.ones((2, 3)))
+        opt.step([p, shared])
+        opt.step([p, shared])
+        opt.resize(p, keep=[0, 2], n_new=1, axis=0)
+        opt.resize(shared, keep=[0, 2], n_new=1, axis=1)
+        assert opt.state[p]["t"] == [2, 2, 0]
+        assert opt.state[shared]["t"] == [2]  # one count shared by all entries
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(kind="rmsprop")
+
+
+class TestExpertBankOptimizerState:
+    """A stacked expert bank trained with Adam and resized along the expert
+    axis must match, bit for bit, a list of per-expert Params that each have
+    their own Adam state, with removed experts dropped and added ones fresh."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_experts=st.integers(1, 4),
+        rounds=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(st.booleans(), min_size=8, max_size=8),
+                      st.booleans()),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_expert_params(self, seed, n_experts, rounds):
+        rng = np.random.default_rng(seed)
+        bank = ExpertMlp.random(3, 2, n_experts, rng)
+        reference = [[Param(p.value[e].copy()) for p in bank.params()] for e in range(n_experts)]
+        opt_bank, opt_ref = Adam(lr=0.05), Adam(lr=0.05)
+        for n_steps, keep_mask, append in rounds:
+            for _ in range(n_steps):
+                for p in bank.params():
+                    p.zero_grad()
+                for e, expert in enumerate(reference):
+                    for p, q in zip(bank.params(), expert):
+                        g = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-3, 3)
+                        p.accumulate(g, e)
+                        q.zero_grad()
+                        q.accumulate(g)
+                opt_bank.step(bank.params())
+                opt_ref.step([q for expert in reference for q in expert])
+            # the resize adapt makes: keep some slots, maybe append one
+            keep = [e for e in range(len(reference)) if keep_mask[e]] or [0]
+            new = [rng.standard_normal(p.shape[1:]) for p in bank.params()]
+            for p, value in zip(bank.params(), new):
+                kept = np.take(p.value, keep, axis=0)
+                p.replace(np.concatenate([kept, value[None]]) if append else kept)
+                opt_bank.resize(p, keep, int(append), axis=0)
+            reference = [reference[e] for e in keep]
+            if append:
+                reference.append([Param(value.copy()) for value in new])
+            assert bank.n_experts == len(reference)
+            for e, expert in enumerate(reference):
+                for p, q in zip(bank.params(), expert):
+                    np.testing.assert_array_equal(p.value[e], q.value)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("n_experts", [1, 3, 7])
+    def test_one_layer_model_has_fixed_param_count(self, n_experts):
+        cfg = small_cfg(init_experts=n_experts)
+        rng = np.random.default_rng(0)
+        assert len(MoeClassifier.build_dynmoe(10, cfg, rng).params()) == 8
+        assert len(MoeClassifier.build_topk(10, cfg, n_experts, 1, rng).params()) == 7
+
+    def test_param_count_survives_adapt(self):
+        res = train_loop(small_task(), small_cfg())
+        assert len({counts for _, counts in res.k_trajectory}) > 1  # K changed
+        assert len(res.model.params()) == 8
+        assert all(p.shape[0] == res.model.blocks[0].n_experts
+                   for p in res.model.blocks[0].layer.experts.params())
 
 
 class TestSoftmaxCrossEntropy:
@@ -249,13 +318,13 @@ class TestPairwiseDispatch:
         rows = {"forward": 0, "backward": 0}
         fwd, bwd = ExpertMlp.forward, ExpertMlp.backward
 
-        def forward(self, x):
+        def forward(self, e, x):
             rows["forward"] += len(x)
-            return fwd(self, x)
+            return fwd(self, e, x)
 
-        def backward(self, cache, upstream):
+        def backward(self, e, cache, upstream):
             rows["backward"] += len(upstream)
-            return bwd(self, cache, upstream)
+            return bwd(self, e, cache, upstream)
 
         monkeypatch.setattr(ExpertMlp, "forward", forward)
         monkeypatch.setattr(ExpertMlp, "backward", backward)
@@ -336,7 +405,7 @@ class TestTrainLoop:
     def test_every_adapt_event_logged_once_in_order(self):
         task = small_task()
         res = train_loop(task, small_cfg())
-        logged = res.metrics.rows_for("adapt_event")
+        logged = [r for r in res.metrics.rows if r.metric == "adapt_event"]
         assert len(logged) == len(res.adapt_events)
         steps = [r.step for r in logged]
         assert steps == sorted(steps)

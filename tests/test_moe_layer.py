@@ -35,7 +35,7 @@ def layer_with_router(rng, w, g, d, h):
     n_experts = w.shape[1]
     return MoeLayer(
         router=RouterParams(w_g=Param(w), g=Param(g)),
-        experts=[ExpertMlp.random(d, h, rng) for _ in range(n_experts)],
+        experts=ExpertMlp.random(d, h, n_experts, rng),
         record=RoutingRecord.fresh(n_experts, d),
         d=d,
         h=h,
@@ -72,19 +72,20 @@ class TestMoeForward:
         assert singles.size > 0
         for i in singles:
             e = int(np.argmax(dec.mask[i]))
-            want = layer.experts[e].forward(tokens[i : i + 1])[0][0]
+            want = layer.experts.forward(e, tokens[i : i + 1])[0][0]
             assert rel_err(out[i], want) < 1e-12
 
     def test_identical_experts_mean_is_either(self, rng):
         layer = build_layer(rng, n_experts=2)
-        layer.experts[1] = layer.experts[0].copy()
+        for p in layer.experts.params():
+            p.value[1] = p.value[0]
         # force both experts active for a token with positive cosine to both
         layer.router.w_g.value[:, 0] = 1.0
         layer.router.w_g.value[:, 1] = 1.0
         tokens = np.ones((1, layer.d))
         out, dec = moe_forward(layer, tokens)
         assert dec.k.tolist() == [2]
-        want = layer.experts[0].forward(tokens)[0]
+        want = layer.experts.forward(0, tokens)[0]
         assert rel_err(out, want) < 1e-12
 
     def test_matches_per_token_loop_oracle(self, rng):
@@ -98,7 +99,7 @@ class TestMoeForward:
                 continue
             acc = np.zeros(6)
             for e in active:
-                acc += layer.experts[e].forward(tokens[i : i + 1])[0][0]
+                acc += layer.experts.forward(e, tokens[i : i + 1])[0][0]
             assert rel_err(out[i], acc / active.size) < 1e-12
 
     def test_k0_rows_are_zero_in_train_mode(self, rng):
@@ -134,7 +135,7 @@ class TestMoeForward:
                 w_g=Param(layer.router.w_g.value[:, perm].copy()),
                 g=Param(layer.router.g.value[perm].copy()),
             ),
-            experts=[layer.experts[e] for e in perm],
+            experts=ExpertMlp.from_arrays(*(p.value[perm] for p in layer.experts.params())),
             record=RoutingRecord.fresh(4, layer.d),
             d=layer.d,
             h=layer.h,
@@ -170,7 +171,7 @@ class TestMoeForwardWeighted:
         tokens = rng.standard_normal((1, d))
         out_w, dec = moe_forward(layer, tokens, combine="weighted")
         if dec.k[0] == 2:
-            e_out = [ex.forward(tokens)[0][0] for ex in layer.experts]
+            e_out = [layer.experts.forward(e, tokens)[0][0] for e in range(2)]
             t = dec.sig_s[0]
             want = (t[0] * e_out[0] + t[1] * e_out[1]) / (t[0] + t[1])
             assert rel_err(out_w[0], want) < 1e-12
@@ -210,24 +211,24 @@ class TestMoeBackward:
 
         def objective(expert_idx, tensor_name):
             def f(p):
-                orig = getattr(layer.experts[expert_idx], tensor_name)
-                saved = orig.value
-                orig.value = p.value
+                orig = getattr(layer.experts, tensor_name)
+                saved = orig.value[expert_idx].copy()
+                orig.value[expert_idx] = p.value
                 try:
                     out2, dec2 = moe_forward(layer, tokens)
                     # expert weights cannot flip routing, asserted anyway
                     assert np.array_equal(dec2.mask, dec.mask)
                     return float((coeff * out2).sum())
                 finally:
-                    orig.value = saved
+                    orig.value[expert_idx] = saved
 
             return f
 
         for e in range(3):
             for name in ("w1", "b1", "w2", "b2"):
-                p = getattr(layer.experts[e], name)
-                fd = finite_diff_grad(objective(e, name), Param(p.value.copy()), eps=1e-6)
-                assert rel_err(p.grad, fd) < 1e-4
+                p = getattr(layer.experts, name)
+                fd = finite_diff_grad(objective(e, name), Param(p.value[e].copy()), eps=1e-6)
+                assert rel_err(p.grad[e], fd) < 1e-4
 
     def test_router_grads_match_surrogate_reference(self, rng):
         # the layer's mask gradient fed through a scalar-loop reference of
@@ -242,7 +243,7 @@ class TestMoeBackward:
 
         # rebuild the upstream-wrt-mask exactly as the layer defines it
         inv_k = np.where(dec.k > 0, 1.0 / np.maximum(dec.k, 1), 0.0)
-        e_outs = [ex.forward(tokens)[0] for ex in layer.experts]
+        e_outs = [layer.experts.forward(e, tokens)[0] for e in range(3)]
         y = np.zeros_like(tokens)
         for e in range(3):
             y += e_outs[e] * dec.mask[:, e, None]
@@ -288,7 +289,7 @@ class TestMoeBackward:
         totals = selected.sum(axis=1, keepdims=True)
         inv_t = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0)
         weights = selected * inv_t
-        e_outs = [ex.forward(tokens)[0] for ex in layer.experts]
+        e_outs = [layer.experts.forward(e, tokens)[0] for e in range(3)]
         y = np.zeros_like(tokens)
         for e in range(3):
             y += e_outs[e] * weights[:, e, None]
@@ -337,7 +338,8 @@ def surrogate_objective(layer, tokens, coeff, dec0, weighted):
     sig_s = sigmoid(cosine_scores_batch(tokens, layer.router.w_g.value))
     m = dec0.mask + (sig_s - sigmoid(layer.router.g.value)) - (dec0.sig_s - dec0.sig_g)
     t = sig_s * m if weighted else m
-    outs = np.stack([ex.forward(tokens)[0] for ex in layer.experts], axis=1)  # (N, K, d)
+    outs = np.stack([layer.experts.forward(e, tokens)[0] for e in range(layer.n_experts)],
+                    axis=1)  # (N, K, d)
     served = dec0.k > 0
     y = np.zeros_like(tokens)
     y[served] = (t[served, :, None] * outs[served]).sum(axis=1) / t[served].sum(axis=1)[:, None]
@@ -415,14 +417,14 @@ class TestCountActivatedParams:
 
     def test_all_k1(self, rng):
         layer = build_layer(rng, d=4, h=3, n_experts=2)
-        per_expert = layer.experts[0].param_count()
+        per_expert = layer.experts.param_count()
         router = 4 * 2 + 2
         model = one_block_model(layer, rng)
         assert activated_params_total(model, [stats_with_k(np.ones(7))]) == router + per_expert
 
     def test_mean_of_mixed_k(self, rng):
         layer = build_layer(rng, d=4, h=3, n_experts=4)
-        per_expert = layer.experts[0].param_count()
+        per_expert = layer.experts.param_count()
         router = 4 * 4 + 4
         model = one_block_model(layer, rng)
         total = activated_params_total(model, [stats_with_k([1, 3, 1, 3])])
@@ -437,7 +439,7 @@ class TestCountActivatedParams:
     def test_topk_router_has_no_thresholds(self, rng):
         block = TopKMoeBlock.random(4, 3, 4, 2, rng)
         model = MoeClassifier([block], Param(np.zeros((4, 2))), Param(np.zeros(2)))
-        per_expert = block.experts[0].param_count()
+        per_expert = block.experts.param_count()
         assert activated_params_total(model, [stats_with_k([2, 2])]) == 4 * 4 + 2 * per_expert
 
 
@@ -462,9 +464,8 @@ class TestCheckpoint:
         restored = load_model(path).blocks[0].layer
         np.testing.assert_array_equal(restored.router.w_g.value, layer.router.w_g.value)
         np.testing.assert_array_equal(restored.router.g.value, layer.router.g.value)
-        for a, b in zip(restored.experts, layer.experts):
-            for p, q in zip(a.params(), b.params()):
-                np.testing.assert_array_equal(p.value, q.value)
+        for p, q in zip(restored.experts.params(), layer.experts.params()):
+            np.testing.assert_array_equal(p.value, q.value)
 
     def test_unknown_schema_rejected(self, rng):
         layer = build_layer(rng)

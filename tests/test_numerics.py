@@ -138,10 +138,26 @@ class TestParam:
         p.zero_grad()
         np.testing.assert_array_equal(p.grad, 0.0)
 
+    def test_zero_grad_clears_in_place(self, rng):
+        p = Param(rng.standard_normal((2, 2)))
+        grad = p.grad
+        p.accumulate(np.ones((2, 2)))
+        p.zero_grad()
+        assert p.grad is grad
+        np.testing.assert_array_equal(grad, 0.0)
+
     def test_shape_mismatch_rejected(self):
         p = Param(np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             p.accumulate(np.zeros(3))
+
+    def test_slot_accumulate_touches_one_slot(self):
+        p = Param(np.zeros((3, 2)))
+        p.accumulate(np.array([1.0, 2.0]), 1)
+        p.accumulate(np.array([1.0, 2.0]), 1)
+        np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(DimensionError):
+            p.accumulate(np.zeros((3, 2)), 0)
 
     def test_replace_keeps_shapes_consistent(self):
         p = Param(np.zeros((2, 3)))

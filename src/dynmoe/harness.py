@@ -187,20 +187,28 @@ class Sgd:
 
 
 class Adam:
-    """Adam with per-Param moment state that survives expert resizes.
+    """Adam over one fixed list of Params, updated as flat vectors.
 
-    When the adaptive process removes or appends expert slots, ``resize``
-    remaps the moment arrays: surviving entries keep their state, new slots
-    start at zero. A Param marked ``slot_steps`` (the expert tensors) keeps
-    one step count per slot along axis 0, remapped the same way, so an
-    appended expert starts its bias correction at step 1 as a fresh Param
-    would. Every other Param shares one counter across its entries (the
-    router's ``w_g`` and ``g``). A column appended to those after t steps
-    gets zero moments but the bias correction of step t + 1, and so larger
-    first updates than a fresh Param: at lr=1 with a unit gradient a fresh
-    Param moves 1.0 per update, while a column appended after 500 steps
-    moves 1.99 on its first update and up to 4.16 later (3.08 and 6.41
-    after 3000 steps).
+    The first ``step`` binds the optimizer to its list of Params (a later
+    ``step`` with another list raises ``ValueError``) and copies every
+    value and gradient into two flat vectors, rebinding ``p.value`` and
+    ``p.grad`` to views of them; a step is then one set of vector
+    operations for the whole model. After a ``Param.replace`` has swapped a
+    Param's storage, the next step copies everything in again.
+
+    The moments ``m``, ``v`` and a step count ``t`` per entry sit in flat
+    vectors of the same layout. When the adaptive process removes or
+    appends expert slots, ``resize`` remaps that Param's share of them:
+    surviving entries keep their state, new entries get zero moments. A
+    Param marked ``slot_steps`` (the expert tensors) gives appended entries
+    the count 0, so an appended expert starts its bias correction at step 1
+    as a fresh Param would. Every other Param keeps one count on all its
+    entries (the router's ``w_g`` and ``g``), which appended entries take
+    over. A column appended to those after t steps gets zero moments but the
+    bias correction of step t + 1, and so larger first updates than a fresh
+    Param: at lr=1 with a unit gradient a fresh Param moves 1.0 per update,
+    while a column appended after 500 steps moves 1.99 on its first update
+    and up to 4.16 later (3.08 and 6.41 after 3000 steps).
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -208,48 +216,103 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict[Param, dict] = {}
+        self._params: list[Param] = []
+        self._shapes: list[tuple[int, ...]] = []  # the shape each Param's state has
+        self._value = self._grad = None           # flat storage the Params view
+        self._m = self._v = np.zeros(0)
+        self._t = np.zeros(0, dtype=np.int64)
+        self._n_steps = 0  # no entry's count exceeds the steps taken
+        # 1 - beta**n from Python float powers, indexed by n: np.power can
+        # differ from them in the last bit.
+        self._c1 = self._c2 = np.zeros(0)
+
+    def _bounds(self):
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes]).tolist()
+        return zip(self._params, [0] + ends[:-1], ends, self._shapes)
+
+    def moments(self, param) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of ``param``'s ``m``, ``v`` and per-entry step counts,
+        shaped like its state."""
+        for p, a, b, shape in self._bounds():
+            if p is param:
+                return tuple(x[a:b].reshape(shape) for x in (self._m, self._v, self._t))
+        raise KeyError(f"no optimizer state for param {param.name!r}")
+
+    def _pack(self) -> None:
+        """Copy every value and gradient into fresh flat vectors and rebind
+        the Params to views of them."""
+        for p, shape in zip(self._params, self._shapes):
+            if p.shape != shape:
+                raise ValueError(f"param {p.name!r} changed shape {shape} -> {p.shape} "
+                                 "without an optimizer resize")
+        self._value = np.concatenate([p.value.ravel() for p in self._params])
+        self._grad = np.concatenate([p.grad.ravel() for p in self._params])
+        for p, a, b, shape in self._bounds():
+            p.value = self._value[a:b].reshape(shape)
+            p.grad = self._grad[a:b].reshape(shape)
+        self._scratch = np.empty((2, self._value.size))  # every temporary of a step
+        # Entries share counts in long runs (one per expert slot at most), so
+        # a step expands one correction per run instead of gathering one per
+        # entry, which costs several times more at mid size.
+        starts = np.flatnonzero(np.diff(self._t)) + 1
+        self._run_starts = np.concatenate([[0], starts])
+        self._run_lengths = np.diff(np.concatenate([self._run_starts, [self._t.size]]))
 
     def step(self, params) -> None:
-        for p in params:
-            st = self.state.get(p)
-            if st is None:
-                t = [0] * (p.shape[0] if p.slot_steps else 1)
-                st = {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": t}
-                self.state[p] = st
-            m, v = st["m"], st["v"]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            # One bias correction per slot (or one shared), from Python float
-            # powers: np.power can differ from them in the last bit.
-            st["t"] = [n + 1 for n in st["t"]]
-            shape = (-1,) + (1,) * (m.ndim - 1)
-            c1, c2 = (np.array([1.0 - beta**n for n in st["t"]]).reshape(shape)
-                      for beta in (self.beta1, self.beta2))
-            # lr * m_hat / (sqrt(v_hat) + eps), in this operation order
-            update = m / c1
-            update *= self.lr
-            denom = v / c2
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            p.value -= update
+        if not self._params:
+            self._params = list(params)
+            self._shapes = [p.shape for p in self._params]
+            size = sum(p.value.size for p in self._params)
+            self._m, self._v = np.zeros((2, size))
+            self._t = np.zeros(size, dtype=np.int64)
+        elif list(params) != self._params:
+            raise ValueError("Adam steps one fixed list of Params; got a different list")
+        if self._value is None or any(p.value.base is not self._value or p.grad.base is not self._grad
+                                      for p in self._params):
+            self._pack()
+        self._n_steps += 1
+        if self._n_steps >= self._c1.size:
+            self._c1, self._c2 = (np.array([1.0 - beta**k for k in range(2 * self._n_steps)])
+                                  for beta in (self.beta1, self.beta2))
+        m, v, t, g = self._m, self._v, self._t, self._grad
+        update, denom = self._scratch
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        np.square(g, out=update)
+        update *= 1.0 - self.beta2
+        v += update
+        t += 1
+        run_t = t[self._run_starts]
+        # lr * m_hat / (sqrt(v_hat) + eps), in this operation order
+        np.divide(m, np.repeat(np.take(self._c1, run_t), self._run_lengths), out=update)
+        update *= self.lr
+        np.divide(v, np.repeat(np.take(self._c2, run_t), self._run_lengths), out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self._value -= update
 
     def resize(self, param, keep, n_new, axis) -> None:
-        st = self.state.get(param)
-        if st is None:
+        if param not in self._params:
             return
-        for key in ("m", "v"):
-            kept = np.take(st[key], keep, axis=axis)
-            if n_new:
-                pad_shape = list(kept.shape)
-                pad_shape[axis] = n_new
-                kept = np.concatenate([kept, np.zeros(pad_shape)], axis=axis)
-            st[key] = kept
-        if param.slot_steps:
-            st["t"] = [st["t"][e] for e in keep] + [0] * n_new
+        pieces = []
+        for p, a, b, shape in self._bounds():
+            m, v, t = (x[a:b].reshape(shape) for x in (self._m, self._v, self._t))
+            if p is param:
+                fill = 0 if p.slot_steps else int(t.flat[0])
+                m, v, t = (np.take(x, keep, axis=axis) for x in (m, v, t))
+                if n_new:
+                    pad_shape = list(m.shape)
+                    pad_shape[axis] = n_new
+                    m, v = (np.concatenate([x, np.zeros(pad_shape)], axis=axis) for x in (m, v))
+                    t = np.concatenate([t, np.full(pad_shape, fill, dtype=np.int64)], axis=axis)
+                new_shape = m.shape
+            pieces.append((m.ravel(), v.ravel(), t.ravel()))
+        self._shapes[self._params.index(param)] = new_shape
+        self._m, self._v, self._t = (np.concatenate(x) for x in zip(*pieces))
+        self._value = None  # the layout moved: the next step packs again
 
 
 def make_optimizer(cfg: "TrainConfig"):

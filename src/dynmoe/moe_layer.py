@@ -50,13 +50,19 @@ COMBINES = ("mean", "weighted")
 EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error linear unit, 0.5 * u * (1 + erf(u / sqrt(2)))."""
-    return 0.5 * u * (1.0 + erf(u * _INV_SQRT2))
+def gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian-error linear unit, 0.5 * u * (1 + erf(u / sqrt(2))),
+    and its factor 1 + erf(u / sqrt(2)), which :func:`gelu_grad` reuses."""
+    one_plus_erf = erf(u * _INV_SQRT2)
+    one_plus_erf += 1.0
+    act = 0.5 * u
+    act *= one_plus_erf
+    return act, one_plus_erf
 
 
-def gelu_grad(u: np.ndarray) -> np.ndarray:
-    phi = 0.5 * (1.0 + erf(u * _INV_SQRT2))
+def gelu_grad(u: np.ndarray, one_plus_erf: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`gelu` at ``u``, given the factor it returned."""
+    phi = 0.5 * one_plus_erf
     return phi + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
 
 
@@ -102,18 +108,20 @@ class ExpertMlp:
 
     def forward(self, e: int, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Expert e on the rows ``x``."""
-        pre = x @ self.w1.value[e] + self.b1.value[e]
-        act = gelu(pre)
-        out = act @ self.w2.value[e] + self.b2.value[e]
-        return out, (x, pre, act)
+        pre = x @ self.w1.value[e]
+        pre += self.b1.value[e]
+        act, one_plus_erf = gelu(pre)
+        out = act @ self.w2.value[e]
+        out += self.b2.value[e]
+        return out, (x, pre, act, one_plus_erf)
 
     def backward(self, e: int, cache: tuple, upstream: np.ndarray) -> np.ndarray:
         """Accumulate expert e's gradients; return the gradient of its rows."""
-        x, pre, act = cache
+        x, pre, act, one_plus_erf = cache
         self.w2.accumulate(act.T @ upstream, e)
         self.b2.accumulate(upstream.sum(axis=0), e)
         d_act = upstream @ self.w2.value[e].T
-        d_pre = d_act * gelu_grad(pre)
+        d_pre = d_act * gelu_grad(pre, one_plus_erf)
         self.w1.accumulate(x.T @ d_pre, e)
         self.b1.accumulate(d_pre.sum(axis=0), e)
         return d_pre @ self.w1.value[e].T

@@ -53,7 +53,9 @@ class Param:
     :meth:`zero_grad` once per optimization step. Identity (not value)
     semantics: optimizers key their state on the object, which is what lets
     the adaptive process resize ``value`` in place without losing state for
-    the surviving entries.
+    the surviving entries. An optimizer may rebind ``value`` and ``grad`` to
+    views of its own flat storage, so read them through the Param instead of
+    keeping the arrays across optimizer steps.
 
     ``slot_steps`` marks axis 0 as a stack of independent slots (one expert
     each): optimizers then keep one step count per slot, so a slot appended

@@ -124,6 +124,13 @@ class TestConfig:
                 assert full[section][key] != value, (section, key)
         assert set(FULL_CONFIG["train"]["optimizer"]) == set(defaults["train"]["optimizer"])
 
+    def test_readme_defaults_block_is_the_default_snapshot(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("The\ndefaults are shown by `config.snapshot` after a run:\n", 1)[1]
+        block = after.split("```json\n", 1)[1].split("```", 1)[0]
+        # compared as JSON, the form a run's config.snapshot has
+        assert json.loads(block) == json.loads(json.dumps(parse_config_doc({}).snapshot()))
+
 
 class TestCli:
     def test_train_twice_identical_checkpoint_hash(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from dynmoe.harness import (
     train_step,
     make_optimizer,
 )
+from dynmoe import moe_layer
 from dynmoe.moe_layer import ExpertMlp
 from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad
 from dynmoe.router import route_top_any
@@ -89,6 +90,56 @@ class TestGenTask:
         np.testing.assert_allclose(np.linalg.norm(task.tokens, axis=1), 1.0, atol=1e-12)
 
 
+class ReferenceAdam:
+    """Adam with one state dict per Param, stepped Param by Param: the
+    reference the flat :class:`Adam` must match bit for bit."""
+
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.state: dict[Param, dict] = {}
+
+    def step(self, params) -> None:
+        for p in params:
+            st = self.state.get(p)
+            if st is None:
+                t = [0] * (p.shape[0] if p.slot_steps else 1)
+                st = {"m": np.zeros_like(p.value), "v": np.zeros_like(p.value), "t": t}
+                self.state[p] = st
+            m, v = st["m"], st["v"]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad**2
+            st["t"] = [n + 1 for n in st["t"]]
+            shape = (-1,) + (1,) * (m.ndim - 1)
+            c1, c2 = (np.array([1.0 - beta**n for n in st["t"]]).reshape(shape)
+                      for beta in (self.beta1, self.beta2))
+            update = m / c1
+            update *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.value -= update
+
+    def resize(self, param, keep, n_new, axis) -> None:
+        st = self.state.get(param)
+        if st is None:
+            return
+        for key in ("m", "v"):
+            kept = np.take(st[key], keep, axis=axis)
+            if n_new:
+                pad_shape = list(kept.shape)
+                pad_shape[axis] = n_new
+                kept = np.concatenate([kept, np.zeros(pad_shape)], axis=axis)
+            st[key] = kept
+        if param.slot_steps:
+            st["t"] = [st["t"][e] for e in keep] + [0] * n_new
+
+
 class TestOptimizers:
     def quadratic(self, opt, steps=200):
         # convex probe: f(p) = 0.5 * |p - t|^2
@@ -121,13 +172,13 @@ class TestOptimizers:
         p = Param(np.ones((2, 3)))
         p.accumulate(np.arange(6.0).reshape(2, 3))
         opt.step([p])
-        m_before = opt.state[p]["m"].copy()
+        m_before = opt.moments(p)[0].copy()
         opt.resize(p, keep=[0, 2], n_new=1, axis=1)
-        st = opt.state[p]
-        assert st["m"].shape == (2, 3)
-        np.testing.assert_array_equal(st["m"][:, 0], m_before[:, 0])
-        np.testing.assert_array_equal(st["m"][:, 1], m_before[:, 2])
-        np.testing.assert_array_equal(st["m"][:, 2], 0.0)
+        m = opt.moments(p)[0]
+        assert m.shape == (2, 3)
+        np.testing.assert_array_equal(m[:, 0], m_before[:, 0])
+        np.testing.assert_array_equal(m[:, 1], m_before[:, 2])
+        np.testing.assert_array_equal(m[:, 2], 0.0)
 
     def test_adam_resize_remaps_slot_step_counts(self):
         opt = Adam(lr=0.1)
@@ -137,12 +188,91 @@ class TestOptimizers:
         opt.step([p, shared])
         opt.resize(p, keep=[0, 2], n_new=1, axis=0)
         opt.resize(shared, keep=[0, 2], n_new=1, axis=1)
-        assert opt.state[p]["t"] == [2, 2, 0]
-        assert opt.state[shared]["t"] == [2]  # one count shared by all entries
+        t = opt.moments(p)[2]
+        np.testing.assert_array_equal(t, np.array([2, 2, 0])[:, None].repeat(2, axis=1))
+        # one count shared by all entries, the appended column included
+        np.testing.assert_array_equal(opt.moments(shared)[2], np.full((2, 3), 2))
+
+    def test_adam_steps_one_fixed_param_list(self):
+        opt = Adam(lr=0.1)
+        a, b, c = Param(np.ones(2)), Param(np.ones((2, 2))), Param(np.ones(3))
+        opt.step([a, b])
+        for other in ([a], [b, a], [a, b, c]):
+            with pytest.raises(ValueError):
+                opt.step(other)
+        with pytest.raises(KeyError):
+            opt.moments(c)
+        b.replace(np.ones((3, 2)))  # a new shape without an optimizer resize
+        with pytest.raises(ValueError):
+            opt.step([a, b])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(kind="rmsprop")
+
+
+class TestFlatAdamMatchesReference:
+    """The flat Adam against the per-Param reference, bit for bit, through
+    steps, resizes (slot tensors along axis 0, others along axis 0 or 1, with
+    keep sets and appends) and storage swaps between steps."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        specs=st.lists(st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.booleans()),
+                       min_size=1, max_size=4),
+        rounds=st.lists(
+            st.tuples(
+                st.integers(0, 3),                                 # steps
+                st.sampled_from(["resize", "replace", "none"]),
+                st.integers(0, 3),                                 # which Param
+                st.integers(0, 1),                                 # resize axis
+                st.lists(st.booleans(), min_size=4, max_size=4),   # keep mask
+                st.integers(0, 2),                                 # appended slices
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical(self, seed, specs, rounds):
+        rng = np.random.default_rng(seed)
+        flat = [Param(rng.standard_normal(shape), name=str(i), slot_steps=slots)
+                for i, (shape, slots) in enumerate(specs)]
+        ref = [Param(p.value.copy(), name=p.name, slot_steps=p.slot_steps) for p in flat]
+        opt, opt_ref = Adam(lr=0.05), ReferenceAdam(lr=0.05)
+        for n_steps, action, which, axis, keep_mask, n_new in rounds:
+            for _ in range(n_steps):
+                for p, q in zip(flat, ref):
+                    g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3)
+                    p.zero_grad()
+                    p.accumulate(g)
+                    q.zero_grad()
+                    q.accumulate(g)
+                opt.step(flat)
+                opt_ref.step(ref)
+            p, q = flat[which % len(flat)], ref[which % len(ref)]
+            if action == "replace":
+                value = rng.standard_normal(p.shape)
+                p.replace(value.copy())
+                q.replace(value.copy())
+            elif action == "resize":
+                axis = 0 if p.slot_steps else min(axis, p.value.ndim - 1)
+                keep = [i for i in range(p.shape[axis]) if keep_mask[i % 4]] or [0]
+                pad_shape = list(p.shape)
+                pad_shape[axis] = n_new
+                value = np.concatenate([np.take(p.value, keep, axis=axis),
+                                        rng.standard_normal(pad_shape)], axis=axis)
+                for x, o in ((p, opt), (q, opt_ref)):
+                    x.replace(value.copy())
+                    o.resize(x, keep, n_new, axis)
+            for p, q in zip(flat, ref):
+                np.testing.assert_array_equal(p.value, q.value)
+                if q in opt_ref.state:
+                    m, v, t = opt.moments(p)
+                    want = opt_ref.state[q]
+                    np.testing.assert_array_equal(m, want["m"])
+                    np.testing.assert_array_equal(v, want["v"])
+                    counts = np.reshape(want["t"], (-1,) + (1,) * (t.ndim - 1))
+                    np.testing.assert_array_equal(t, np.broadcast_to(counts, t.shape))
 
 
 class TestExpertBankOptimizerState:
@@ -164,7 +294,7 @@ class TestExpertBankOptimizerState:
         rng = np.random.default_rng(seed)
         bank = ExpertMlp.random(3, 2, n_experts, rng)
         reference = [[Param(p.value[e].copy()) for p in bank.params()] for e in range(n_experts)]
-        opt_bank, opt_ref = Adam(lr=0.05), Adam(lr=0.05)
+        opt_bank, opt_ref = Adam(lr=0.05), ReferenceAdam(lr=0.05)
         for n_steps, keep_mask, append in rounds:
             for _ in range(n_steps):
                 for p in bank.params():
@@ -343,6 +473,32 @@ class TestPairwiseDispatch:
         assert rows["backward"] == decision.k.sum()
         # activated pairs plus the non-activated pairs of served tokens
         assert rows["forward"] == n_served * 4
+
+    def test_erf_once_per_forward_row(self, monkeypatch):
+        task = small_task()
+        cfg = small_cfg(init_experts=4)
+        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        rows = self.count_rows(monkeypatch)
+        erf_elements = {"forward": 0, "backward": 0}
+        in_backward = [False]
+        bwd, raw_erf = ExpertMlp.backward, moe_layer.erf
+
+        def backward(self, e, cache, upstream):
+            in_backward[0] = True
+            try:
+                return bwd(self, e, cache, upstream)
+            finally:
+                in_backward[0] = False
+
+        def erf(u):
+            erf_elements["backward" if in_backward[0] else "forward"] += np.size(u)
+            return raw_erf(u)
+
+        monkeypatch.setattr(ExpertMlp, "backward", backward)
+        monkeypatch.setattr(moe_layer, "erf", erf)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg))
+        assert rows["forward"] > 0 and rows["backward"] > 0
+        assert erf_elements == {"forward": rows["forward"] * cfg.hidden, "backward": 0}
 
     def test_topk_rows_equal_n_times_top_k(self, monkeypatch):
         task = small_task()

@@ -48,6 +48,11 @@ from .telemetry import (
 MODEL_SCHEMA = "dynmoe-model/1"
 TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
 
+# gen_task builds tokens this many rows at a time (the rows do not depend on
+# it), and lets the exact projection decide a draw this close to a decision.
+_TASK_BLOCK_ROWS = 256
+_PROJ_GUARD = 1e-9
+
 
 # --- synthetic planted-skill tasks ------------------------------------------
 
@@ -76,9 +81,9 @@ class SyntheticTask:
         return self.tokens.shape[0]
 
 
-def check_task_args(n_skills: int, d: int, n_samples: int, seed: int, align_range=None) -> None:
+def check_task_args(n_skills: int, d: int, n_samples: int, seed: int, align_range=None, label_margin=None) -> None:
     """Raise ``ConfigurationError`` unless :func:`gen_task` can build a task
-    from these arguments (``align_range`` is checked when given)."""
+    from these arguments (the optional ones are checked when given)."""
     if n_skills < 1:
         raise ConfigurationError("need at least one skill")
     if n_skills + 2 > d:
@@ -92,6 +97,13 @@ def check_task_args(n_skills: int, d: int, n_samples: int, seed: int, align_rang
         raise ConfigurationError("seed must be non-negative")
     if align_range is not None and not 0.0 < align_range[0] < align_range[1] < 1.0:
         raise ConfigurationError(f"align_range must satisfy 0 < lo < hi < 1, got {align_range}")
+    if label_margin is not None and not 0.0 <= label_margin < 1.0:
+        raise ConfigurationError(f"label_margin must satisfy 0 <= label_margin < 1, got {label_margin}")
+
+
+def _rule_projection(complement, coeff, norm, rule) -> float:
+    """<complement @ (coeff / norm), rule>, rounded as the token's own noise part."""
+    return float((complement @ (coeff / norm)) @ rule)
 
 
 def gen_task(
@@ -111,8 +123,13 @@ def gen_task(
     <token, rule_skill> where each rule direction also lives in the
     complement; the noise component is resampled until its projection on the
     rule clears ``label_margin``, keeping labels away from the boundary.
+    The margin must lie in [0, 1), as a projection is at most 1; one just
+    below 1 terminates only in expectation, after very many draws per token.
+
+    Rows are drawn in sequence, so the same seed with more samples extends
+    a task: its first ``n_samples`` rows are this task's.
     """
-    check_task_args(n_skills, d, n_samples, seed, align_range)
+    check_task_args(n_skills, d, n_samples, seed, align_range, label_margin)
     lo, hi = align_range
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -121,30 +138,42 @@ def gen_task(
     n_comp = complement.shape[1]
 
     rules = np.zeros((d, n_skills))
+    rule_coeffs = []
     for s in range(n_skills):
         coeff = rng.standard_normal(n_comp)
         coeff /= np.linalg.norm(coeff)
         rules[:, s] = complement @ coeff
+        rule_coeffs.append(coeff)
 
-    tokens = np.zeros((n_samples, d))
-    skill_ids = np.zeros(n_samples, dtype=np.int64)
-    labels = np.zeros(n_samples, dtype=np.int64)
-    for i in range(n_samples):
-        s = i % n_skills
-        cos_t = rng.uniform(lo, hi)
-        sin_t = math.sqrt(1.0 - cos_t * cos_t)
-        while True:
-            coeff = rng.standard_normal(n_comp)
-            norm = np.linalg.norm(coeff)
-            if norm < 1e-12:
-                continue
-            v = complement @ (coeff / norm)
-            proj = float(v @ rules[:, s])
-            if abs(proj) >= label_margin:
-                break
-        tokens[i] = cos_t * skills[:, s] + sin_t * v
-        skill_ids[i] = s
-        labels[i] = 1 if proj > 0.0 else 0
+    tokens = np.empty((n_samples, d))
+    skill_ids = np.arange(n_samples, dtype=np.int64) % n_skills
+    labels = np.empty(n_samples, dtype=np.int64)
+    cos_t = np.empty(n_samples)
+    units = np.empty((_TASK_BLOCK_ROWS, n_comp))
+    for start in range(0, n_samples, _TASK_BLOCK_ROWS):
+        stop = min(start + _TASK_BLOCK_ROWS, n_samples)
+        for i in range(start, stop):
+            s = i % n_skills
+            cos_t[i] = rng.uniform(lo, hi)
+            while True:
+                coeff = rng.standard_normal(n_comp)
+                norm = math.sqrt(coeff.dot(coeff))  # np.linalg.norm's own expression
+                if norm < 1e-12:
+                    continue
+                # Orthonormal complement columns: the exact projection up to rounding.
+                proj = coeff.dot(rule_coeffs[s]) / norm
+                if abs(proj) < _PROJ_GUARD or abs(abs(proj) - label_margin) < _PROJ_GUARD:
+                    proj = _rule_projection(complement, coeff, norm, rules[:, s])
+                if abs(proj) >= label_margin:
+                    break
+            np.divide(coeff, norm, out=units[i - start])
+            labels[i] = 1 if proj > 0.0 else 0
+        # One gemv per row, as ``complement @ unit``; one gemm would round differently.
+        block = tokens[start:stop]
+        np.matmul(complement, units[:stop - start, :, None], out=block[:, :, None])
+        c = cos_t[start:stop]
+        block *= np.sqrt(1.0 - c * c)[:, None]
+        block += c[:, None] * skills.T[skill_ids[start:stop]]
 
     return SyntheticTask(
         n_skills=n_skills,

@@ -1,16 +1,22 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynmoe import harness
 from dynmoe.adaptive import AdaptConfig
 from dynmoe.harness import (
     Adam,
     MoeClassifier,
     OptimizerConfig,
     Sgd,
+    SyntheticTask,
     TopKMoeBlock,
     TrainConfig,
+    check_task_args,
     gen_task,
     load_model,
     model_from_doc,
@@ -88,6 +94,141 @@ class TestGenTask:
     def test_unit_tokens(self):
         task = gen_task(2, 8, 50, seed=1)
         np.testing.assert_allclose(np.linalg.norm(task.tokens, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("margin", [1.0, 1.5, math.nan, -0.1])
+    def test_bad_label_margin_rejected(self, margin):
+        # A unit vector's projection is at most 1: such a margin would
+        # reject every draw, and gen_task would never return.
+        with pytest.raises(ConfigurationError, match="label_margin"):
+            check_task_args(2, 8, 10, 0, label_margin=margin)
+        with pytest.raises(ConfigurationError, match="label_margin"):
+            gen_task(2, 8, 10, 0, label_margin=margin)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_skills=st.integers(1, 6),
+        extra_dims=st.integers(2, 64),
+        n_samples=st.integers(1, 1500),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(0.05, 0.95),
+        width=st.floats(0.001, 0.04),
+        margin_share=st.floats(0.0, 1.0),
+    )
+    @example(n_skills=6, extra_dims=64, n_samples=1500, seed=3, lo=0.9, width=0.04, margin_share=1.0)
+    @example(n_skills=1, extra_dims=2, n_samples=600, seed=0, lo=0.5, width=0.001, margin_share=0.0)
+    def test_matches_reference(self, n_skills, extra_dims, n_samples, seed, lo, width, margin_share):
+        d = n_skills + extra_dims
+        # label_margin in [0, 0.5], capped at two standard deviations of a
+        # random unit vector's projection so a draw is accepted often.
+        margin = margin_share * min(0.5, 2.0 / math.sqrt(extra_dims))
+        args = (n_skills, d, n_samples, seed, (lo, lo + width), margin)
+        assert_same_task(gen_task(*args), reference_gen_task(*args))
+
+    def test_fallback_decides_a_draw_on_the_margin(self, monkeypatch):
+        # Replay the first noise draw of gen_task(2, 8, n, 12) and set the
+        # margin to its exact |projection|, so the accept decision for
+        # that draw falls inside the guard band. (With this seed the cheap
+        # projection lands a few ulps below the exact one.)
+        n_skills, d, seed, align_range = 2, 8, 12, (0.90, 0.98)
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        complement = basis[:, n_skills:]
+        rules = []
+        for _ in range(n_skills):
+            coeff = rng.standard_normal(d - n_skills)
+            coeff /= np.linalg.norm(coeff)
+            rules.append(complement @ coeff)
+        rng.uniform(*align_range)
+        coeff = rng.standard_normal(d - n_skills)
+        margin = abs(float((complement @ (coeff / np.linalg.norm(coeff))) @ rules[0]))
+
+        calls = []
+        exact = harness._rule_projection
+
+        def spy(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(harness, "_rule_projection", spy)
+        args = (n_skills, d, 300, seed, align_range, margin)
+        task = gen_task(*args)
+        assert calls
+        assert_same_task(task, reference_gen_task(*args))
+
+    @pytest.mark.parametrize("n, total", [
+        (1, 2),
+        (harness._TASK_BLOCK_ROWS - 3, harness._TASK_BLOCK_ROWS + 3),
+        (harness._TASK_BLOCK_ROWS, 2 * harness._TASK_BLOCK_ROWS + 1),
+        (harness._TASK_BLOCK_ROWS + 1, 3 * harness._TASK_BLOCK_ROWS),
+        (10, harness._TASK_BLOCK_ROWS - 1),
+    ])
+    def test_more_samples_extend_the_task(self, n, total):
+        # The bench's eval phase and `dynmoe eval` rely on this: fresh
+        # tokens are the rows past n_samples of the same seed.
+        short, long = gen_task(3, 20, n, 5), gen_task(3, 20, total, 5)
+        for name in ("tokens", "skill_ids", "labels"):
+            np.testing.assert_array_equal(getattr(long, name)[:n], getattr(short, name))
+        np.testing.assert_array_equal(long.skill_directions, short.skill_directions)
+        np.testing.assert_array_equal(long.rule_directions, short.rule_directions)
+
+
+def reference_gen_task(n_skills, d, n_samples, seed, align_range=(0.90, 0.98), label_margin=0.15):
+    """The per-sample generation loop :func:`gen_task` must match bit for
+    bit: each draw's projection is computed from the full noise vector."""
+    lo, hi = align_range
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    skills = basis[:, :n_skills]
+    complement = basis[:, n_skills:]
+    n_comp = complement.shape[1]
+
+    rules = np.zeros((d, n_skills))
+    for s in range(n_skills):
+        coeff = rng.standard_normal(n_comp)
+        coeff /= np.linalg.norm(coeff)
+        rules[:, s] = complement @ coeff
+
+    tokens = np.zeros((n_samples, d))
+    skill_ids = np.zeros(n_samples, dtype=np.int64)
+    labels = np.zeros(n_samples, dtype=np.int64)
+    for i in range(n_samples):
+        s = i % n_skills
+        cos_t = rng.uniform(lo, hi)
+        sin_t = math.sqrt(1.0 - cos_t * cos_t)
+        while True:
+            coeff = rng.standard_normal(n_comp)
+            norm = np.linalg.norm(coeff)
+            if norm < 1e-12:
+                continue
+            v = complement @ (coeff / norm)
+            proj = float(v @ rules[:, s])
+            if abs(proj) >= label_margin:
+                break
+        tokens[i] = cos_t * skills[:, s] + sin_t * v
+        skill_ids[i] = s
+        labels[i] = 1 if proj > 0.0 else 0
+
+    return SyntheticTask(
+        n_skills=n_skills,
+        d=d,
+        tokens=tokens,
+        skill_ids=skill_ids,
+        labels=labels,
+        generator_seed=seed,
+        within_cosine_floor=2.0 * lo * lo - 1.0,
+        cross_cosine_ceiling=1.0 - lo * lo,
+        skill_directions=skills,
+        rule_directions=rules,
+    )
+
+
+def assert_same_task(got, want):
+    for f in fields(SyntheticTask):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 class ReferenceAdam:

@@ -66,10 +66,10 @@ def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> RoutingRecord:
         raise DimensionError(
             f"tokens shape {tokens.shape} inconsistent with decision/record"
         )
-    rec.r_e += decision.mask.sum(axis=0).astype(np.int64)
+    rec.r_e += np.add.reduce(decision.mask, axis=0).astype(np.int64)
     empty = decision.k == 0
-    if np.any(empty):
-        rec.r_s += tokens[empty].sum(axis=0)
+    if empty.any():
+        rec.r_s += np.add.reduce(tokens[empty], axis=0)
     return rec
 
 

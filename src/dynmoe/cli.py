@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import ConfigError, RunSpec, load_config, parse_config_doc, read_config
 from .harness import (
+    CheckpointError,
     RunResult,
     evaluate,
     gen_task,
@@ -136,10 +137,12 @@ def cmd_eval(args) -> int:
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
         return 2
     spec = load_config(args.task)
+    model = load_model(ckpt)
+    if model.w_out.shape[0] != spec.task.d:
+        raise CheckpointError(f"{ckpt} takes tokens of dim {model.w_out.shape[0]}, but the "
+                              f"task of {args.task} has d={spec.task.d}")
     task = gen_task(**asdict(spec.task))
     eval_idx = split_task(task, spec.train)[1]
-
-    model = load_model(ckpt)
     accuracy, stats, _ = evaluate(model, task.tokens[eval_idx], task.labels[eval_idx])
     mean_k = float(np.mean([ps.mean_top_k for ps in stats]))
     metrics = MetricsLog()
@@ -323,10 +326,7 @@ def main(argv=None) -> int:
     _resolve_config_path(args, parser)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -315,9 +315,9 @@ class Adam:
         t += 1
         run_t = t[self._run_starts]
         # lr * m_hat / (sqrt(v_hat) + eps), in this operation order
-        np.divide(m, np.repeat(np.take(self._c1, run_t), self._run_lengths), out=update)
+        np.divide(m, self._c1.take(run_t).repeat(self._run_lengths), out=update)
         update *= self.lr
-        np.divide(v, np.repeat(np.take(self._c2, run_t), self._run_lengths), out=denom)
+        np.divide(v, self._c2.take(run_t).repeat(self._run_lengths), out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
@@ -464,7 +464,7 @@ class MoeClassifier:
 
     def backward(self, caches, h_final, d_logits):
         self.w_out.accumulate(h_final.T @ d_logits)
-        self.b_out.accumulate(d_logits.sum(axis=0))
+        self.b_out.accumulate(np.add.reduce(d_logits, axis=0))
         dh = d_logits @ self.w_out.value.T
         for block, cache in zip(reversed(self.blocks), reversed(caches)):
             dh = block.backward(cache, dh)
@@ -486,12 +486,12 @@ class MoeClassifier:
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross entropy and its gradient wrt the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     logp = z - log_norm
     n = logits.shape[0]
     idx = np.arange(n)
-    loss = float(-logp[idx, labels].mean())
+    loss = float(-(np.add.reduce(logp[idx, labels]) / n))
     grad = np.exp(logp)
     grad[idx, labels] -= 1.0
     grad /= n
@@ -564,9 +564,9 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -
     model.zero_grad()
     logits, caches, h_final = model.forward(tokens, mode="train")
     task_loss, d_logits = softmax_cross_entropy(logits, labels)
-    if not np.isfinite(task_loss):
+    if not math.isfinite(task_loss):
         raise DivergenceError("non-finite task loss")
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    accuracy = _accuracy(logits, labels)
     model.backward(caches, h_final, d_logits)
 
     aux_report = None
@@ -576,7 +576,7 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -
         extra: dict[str, float] = {}
         for block, cache in zip(model.blocks, caches):
             x_in, decision = cache
-            k_values.append(float(decision.k.mean()))
+            k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
             rep = diversity_simplicity_loss(block.layer.router.w_g, weight=cfg.aux_loss_weight)
             diversity += rep.diversity
             simplicity += rep.simplicity
@@ -598,11 +598,11 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -
         )
     else:
         for cache in caches:
-            k_values.append(float(cache[1].k.mean()))
+            k_values.append(float(np.add.reduce(cache[1].k) / len(cache[1].k)))
 
     opt.step(model.params())
-    mean_k = float(np.mean(k_values))
-    if aux_report is not None and not np.isfinite(aux_report.total):
+    mean_k = float(np.add.reduce(k_values) / len(k_values))  # np.mean's order, not sum()'s
+    if aux_report is not None and not math.isfinite(aux_report.total):
         raise DivergenceError("non-finite auxiliary loss")
     return StepStats(
         task_loss=task_loss,
@@ -613,10 +613,14 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -
     )
 
 
+def _accuracy(logits, labels) -> float:
+    return float(np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels))
+
+
 def evaluate(model: MoeClassifier, tokens, labels):
     """Accuracy plus per-layer routing statistics under eval-mode routing."""
     logits, caches, _ = model.forward(tokens, mode="eval")
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    accuracy = _accuracy(logits, labels)
     stats = [PassStats.from_decisions([cache[1]]) for cache in caches]
     return accuracy, stats, caches
 
@@ -816,5 +820,14 @@ def save_model(model: MoeClassifier, path) -> None:
     Path(path).write_text(json.dumps(model_to_doc(model), sort_keys=True))
 
 
+class CheckpointError(ValueError):
+    """A file is not a model checkpoint, or does not fit the task."""
+
+
 def load_model(path) -> MoeClassifier:
-    return model_from_doc(json.loads(Path(path).read_text()))
+    """The model saved at ``path``; ``CheckpointError`` if the file does not
+    hold one."""
+    try:
+        return model_from_doc(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path} is not a model checkpoint: {exc!r}") from exc

@@ -11,11 +11,12 @@ core objective, and are labeled as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ConfigurationError, DimensionError, Param
+from .numerics import ConfigurationError, DimensionError, Param, vector_norm
 from .router import GatingDecision, RouterParams
 
 
@@ -55,16 +56,19 @@ def diversity_simplicity_loss(w_g: Param, weight: float = 1.0) -> AuxLossReport:
     if w.ndim != 2:
         raise DimensionError(f"w_g must be 2-d, got shape {w.shape}")
     n_experts = w.shape[1]
-    gram_residual = w.T @ w - np.eye(n_experts)
-    diversity = float(np.linalg.norm(gram_residual))
-    col_norms = np.linalg.norm(w, axis=0)
-    simplicity = float(col_norms.mean())
+    gram_residual = w.T @ w
+    r = gram_residual.ravel()  # a view: matmul returns a C-contiguous array
+    r[:: n_experts + 1] -= 1.0  # - I, as x - 0.0 is x off the diagonal
+    diversity = math.sqrt(r.dot(r))
+    col_norms = vector_norm(w, axis=0)
+    simplicity = float(np.add.reduce(col_norms) / n_experts)
 
-    grad = np.zeros_like(w)
+    grad = np.zeros(w.shape)
     if diversity > 0.0:
         grad += (2.0 / diversity) * (w @ gram_residual)
     nonzero = col_norms > 0.0
-    grad[:, nonzero] += w[:, nonzero] / (n_experts * col_norms[nonzero])
+    d_simplicity = np.divide(w, n_experts * col_norms, out=np.zeros(w.shape), where=nonzero)
+    np.add(grad, d_simplicity, out=grad, where=nonzero)
     w_g.accumulate(weight * grad)
 
     return AuxLossReport(diversity=diversity, simplicity=simplicity, total=diversity + simplicity)

@@ -5,9 +5,10 @@ layer output is their unweighted mean (tokens that activate nothing output
 the zero vector in training mode, which reads as identity pass-through
 under a residual connection). A score-weighted combine exists solely for
 ablation comparisons. Dispatch is pair-wise: each expert runs once, on the
-rows that activate it. In training mode the combine and the outputs and
-expert caches of those activated pairs are kept on the decision, and the
-backward reuses them instead of running any expert again on them.
+rows that activate it. In training mode the combine, its weights and the
+outputs and expert caches of those activated pairs are kept on the
+decision, and the backward reuses them instead of computing the weights
+again or running any expert again on them.
 
 Backward composition, per token i with activation count k_i > 0 and
 upstream u_i = dL/dy_i:
@@ -118,12 +119,12 @@ class ExpertMlp:
     def backward(self, e: int, cache: tuple, upstream: np.ndarray) -> np.ndarray:
         """Accumulate expert e's gradients; return the gradient of its rows."""
         x, pre, act, one_plus_erf = cache
-        self.w2.accumulate(act.T @ upstream, e)
-        self.b2.accumulate(upstream.sum(axis=0), e)
+        self.w2.grad[e] += act.T @ upstream
+        self.b2.grad[e] += np.add.reduce(upstream, axis=0)
         d_act = upstream @ self.w2.value[e].T
         d_pre = d_act * gelu_grad(pre, one_plus_erf)
-        self.w1.accumulate(x.T @ d_pre, e)
-        self.b1.accumulate(d_pre.sum(axis=0), e)
+        self.w1.grad[e] += x.T @ d_pre
+        self.b1.grad[e] += np.add.reduce(d_pre, axis=0)
         return d_pre @ self.w1.value[e].T
 
 
@@ -191,10 +192,12 @@ def _dispatch(
     ``keep_cache`` is set, one ``(expert index, rows, outputs, expert cache)``
     entry per expert that some row activates, for :func:`_pairs_backward`.
     """
+    # zeros_like writes its zeros; at eval sizes np.zeros gets fresh calloc
+    # pages, which the scatter-add below faults in twice (read, then write).
     out = np.zeros_like(tokens)
     pairs = [] if keep_cache else None
     for e in range(experts.n_experts):
-        idx = np.nonzero(mask[:, e] > 0.0)[0]
+        idx = (mask[:, e] > 0.0).nonzero()[0]
         if not idx.size:
             continue
         if keep_cache:
@@ -210,6 +213,15 @@ def _dispatch(
     return out, pairs
 
 
+def _require_cache(cache):
+    if cache is None:
+        raise ValueError(
+            "no expert cache: the backward needs the decision or cache of a "
+            "train-mode forward (eval-mode and bare router decisions carry none)"
+        )
+    return cache
+
+
 def _pairs_backward(
     experts: ExpertMlp,
     pairs: list | None,
@@ -222,16 +234,11 @@ def _pairs_backward(
     only. Returns the token gradient of the expert path and
     ``dots[i, e] = <u_i, E_e(x_i)>`` on activated pairs (zero elsewhere).
     """
-    if pairs is None:
-        raise ValueError(
-            "no expert cache: the backward needs the decision or cache of a "
-            "train-mode forward (eval-mode and bare router decisions carry none)"
-        )
-    d_tokens = np.zeros_like(upstream)
+    d_tokens = np.zeros(upstream.shape)
     dots = np.zeros(weights.shape)
-    for e, idx, out_e, cache_e in pairs:
+    for e, idx, out_e, cache_e in _require_cache(pairs):
         u = upstream[idx]
-        dots[idx, e] = (out_e * u).sum(axis=1)
+        dots[idx, e] = np.add.reduce(out_e * u, axis=1)
         d_tokens[idx] += experts.backward(e, cache_e, u * weights[idx, e, None])
     return d_tokens, dots
 
@@ -243,8 +250,8 @@ def _combine_weights(decision: GatingDecision, weighted: bool) -> tuple[np.ndarr
     and T_i = sum_e t[i, e].
     """
     t = decision.sig_s * decision.mask if weighted else decision.mask
-    totals = t.sum(axis=1)
-    inv_t = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0.0)
+    totals = np.add.reduce(t, axis=1)
+    inv_t = np.divide(1.0, totals, out=np.zeros(totals.shape), where=totals > 0.0)
     return t * inv_t[:, None], inv_t
 
 
@@ -257,9 +264,10 @@ def moe_forward(
     ``combine="weighted"`` is the ablation that weights each activated expert
     by sig_s[i, e] / sum of sig_s over the token's activated experts.
     ``mode="train"`` permits k = 0 rows (their output is the zero vector)
-    and caches the combine and the activated pairs on the decision for
-    :func:`moe_backward`; ``mode="eval"`` falls back to top-1 so every token
-    runs at least one expert, and keeps no cache.
+    and caches the combine, the activated pairs, the combine weights and
+    1 / T on the decision for :func:`moe_backward`; ``mode="eval"`` falls
+    back to top-1 so every token runs at least one expert, and keeps no
+    cache.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -268,10 +276,10 @@ def moe_forward(
     layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
     decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    weights, _ = _combine_weights(decision, combine == "weighted")
+    weights, inv_t = _combine_weights(decision, combine == "weighted")
     out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")
     if pairs is not None:
-        decision.expert_cache = (combine, pairs)
+        decision.expert_cache = (combine, pairs, weights, inv_t)
     return out, decision
 
 
@@ -285,9 +293,9 @@ def moe_backward(
     """Accumulate gradients for all layer params; return the token gradient.
 
     ``decision`` must come from a train-mode :func:`moe_forward` on
-    ``tokens``: it carries the combine and the cached activated pairs, and
-    without them (eval-mode or bare router decisions) this raises
-    ``ValueError``. The eval fallback would also break the mask/threshold
+    ``tokens``: it carries the combine, its weights and the cached
+    activated pairs, and without them (eval-mode or bare router decisions)
+    this raises ``ValueError``. The eval fallback would also break the mask/threshold
     relation the straight-through rule relies on. Expert weight gradients
     flow through the cached activated pairs scaled by t / T. The mask
     gradient also needs the outputs of non-activated experts on tokens with
@@ -306,18 +314,18 @@ def moe_backward(
     if decision.mask.shape[1] != layer.n_experts:
         raise DimensionError("decision does not match the layer's current expert count")
 
-    combine, pairs = decision.expert_cache or ("mean", None)
+    combine, pairs, weights, inv_t = _require_cache(decision.expert_cache)
     weighted = combine == "weighted"
-    weights, inv_t = _combine_weights(decision, weighted)
     d_tokens, dots = _pairs_backward(layer.experts, pairs, upstream, weights)
     # The mask seed <u_i, E_e(x_i) - y_i> / T_i also needs the outputs of
     # experts a token did not activate; rows with T_i = 0 have a zero seed.
     off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
     for e in range(layer.n_experts):
-        idx = np.nonzero(off[:, e])[0]
+        idx = off[:, e].nonzero()[0]
         if idx.size:
-            dots[idx, e] = (layer.experts.forward(e, tokens[idx])[0] * upstream[idx]).sum(axis=1)
-    d_t = (dots - (weights * dots).sum(axis=1, keepdims=True)) * inv_t[:, None]
+            out_e = layer.experts.forward(e, tokens[idx])[0]
+            dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
+    d_t = (dots - np.add.reduce(weights * dots, axis=1, keepdims=True)) * inv_t[:, None]
     if weighted:
         # Product rule on t = sig_s * mask: the sig_s path is a real
         # gradient, the mask path is the straight-through seed.

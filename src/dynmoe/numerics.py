@@ -40,9 +40,17 @@ class DivergenceError(ArithmeticError):
 
 
 def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     return out
+
+
+def vector_norm(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms of real ``x`` along ``axis``: the expression
+    ``np.linalg.norm(x, axis=axis, keepdims=keepdims)`` itself evaluates,
+    without its Python-level argument handling. The Frobenius norm of a
+    matrix ``m`` is likewise ``math.sqrt(r.dot(r))`` with ``r = m.ravel()``."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=keepdims))
 
 
 @dataclass(eq=False)
@@ -78,16 +86,15 @@ class Param:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def accumulate(self, g: np.ndarray, slot: int | None = None) -> None:
-        """Add ``g`` to the gradient, or to its slot ``slot`` along axis 0."""
-        grad = self.grad if slot is None else self.grad[slot]
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient."""
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != grad.shape:
+        if g.shape != self.grad.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match param {self.name!r} "
-                f"shape {grad.shape}"
+                f"shape {self.grad.shape}"
             )
-        grad += g
+        self.grad += g
 
     def replace(self, value: np.ndarray) -> None:
         """Swap in new storage, e.g. when an expert slot is added or removed.
@@ -113,20 +120,22 @@ def cosine_scores_batch(tokens: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"token dim {tokens.shape[1]} does not match column dim {w.shape[0]}"
         )
-    tok_norm = np.linalg.norm(tokens, axis=1)
-    if np.any(tok_norm == 0.0):
+    tok_norm = vector_norm(tokens, axis=1)
+    if (tok_norm == 0.0).any():
         raise DegenerateInputError("zero-norm token row; cosine direction undefined")
-    col_norm = np.linalg.norm(w, axis=0)
-    if np.any(col_norm == 0.0):
+    col_norm = vector_norm(w, axis=0)
+    if (col_norm == 0.0).any():
         raise DegenerateInputError("zero-norm expert column; cosine direction undefined")
     s = (tokens @ w) / (tok_norm[:, None] * col_norm[None, :])
-    return np.clip(_check_finite(s, "cosine_scores"), -1.0, 1.0)
+    # np.clip(s, -1, 1) on finite s, in place
+    np.maximum(_check_finite(s, "cosine_scores"), -1.0, out=s)
+    return np.minimum(s, 1.0, out=s)
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function; outputs lie strictly inside (0, 1)."""
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("sigmoid input must be finite")
     return expit(v)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .numerics import (
     ConfigurationError,
@@ -29,6 +30,7 @@ from .numerics import (
     Param,
     cosine_scores_batch,
     sigmoid,
+    vector_norm,
 )
 
 
@@ -88,10 +90,11 @@ class GatingDecision:
     ``mask`` is the {0, 1} activation indicator, ``k`` the per-token count
     of activated experts (row sums of the mask), ``s`` the raw cosine
     scores, ``sig_s``/``sig_g`` their squashed forms. ``k`` may be zero in
-    training mode. ``expert_cache`` holds the layer's combine and, for each
+    training mode. ``expert_cache`` holds the layer's combine; for each
     expert some token activates, its index, the activated rows, their
-    outputs and the expert's forward cache; a train-mode layer forward fills
-    it for the layer backward, and it stays ``None`` everywhere else.
+    outputs and the expert's forward cache; the combine weights; and the
+    per-token 1 / T. A train-mode layer forward fills it for the layer
+    backward, and it stays ``None`` everywhere else.
     """
 
     mask: np.ndarray   # (N, K) entries in {0.0, 1.0}
@@ -99,7 +102,7 @@ class GatingDecision:
     s: np.ndarray      # (N, K)
     sig_s: np.ndarray  # (N, K)
     sig_g: np.ndarray  # (K,)
-    expert_cache: tuple[str, list] | None = field(default=None, repr=False)
+    expert_cache: tuple[str, list, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_tokens(self) -> int:
@@ -119,10 +122,10 @@ def route_top_any(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     s = cosine_scores_batch(tokens, params.w_g.value)
-    sig_s = sigmoid(s)
+    sig_s = expit(s)  # s is checked finite already
     sig_g = sigmoid(params.g.value)
     mask = (sig_s > sig_g[None, :]).astype(np.float64)
-    k = mask.sum(axis=1).astype(np.int64)
+    k = np.add.reduce(mask, axis=1).astype(np.int64)
     return GatingDecision(mask=mask, k=k, s=s, sig_s=sig_s, sig_g=sig_g)
 
 
@@ -134,15 +137,16 @@ def _score_path_backward(
 ) -> np.ndarray:
     """Chain a gradient wrt the raw cosine scores into w_g (and the tokens)."""
     w = params.w_g.value
-    tok_norm = np.linalg.norm(tokens, axis=1, keepdims=True)      # (N, 1)
-    col_norm = np.linalg.norm(w, axis=0, keepdims=True)           # (1, K)
+    tok_norm = vector_norm(tokens, axis=1, keepdims=True)         # (N, 1)
+    col_norm = vector_norm(w, axis=0, keepdims=True)              # (1, K)
     s = (tokens @ w) / (tok_norm * col_norm)
     scaled = ds / (tok_norm * col_norm)                           # (N, K)
-    grad_w = tokens.T @ scaled - w * ((ds * s).sum(axis=0) / col_norm[0] ** 2)
+    ds_s = ds * s
+    grad_w = tokens.T @ scaled - w * (np.add.reduce(ds_s, axis=0) / col_norm[0] ** 2)
     params.w_g.accumulate(grad_w)
     if not propagate_to_tokens:
-        return np.zeros_like(tokens)
-    return scaled @ w.T - tokens * ((ds * s).sum(axis=1, keepdims=True) / tok_norm**2)
+        return np.zeros(tokens.shape)
+    return scaled @ w.T - tokens * (np.add.reduce(ds_s, axis=1, keepdims=True) / tok_norm**2)
 
 
 def route_top_any_backward(
@@ -167,14 +171,14 @@ def route_top_any_backward(
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match mask shape {decision.mask.shape}"
         )
-    d_sig_s = upstream.copy()
+    d_sig_s = upstream
     if upstream_sig_s is not None:
         upstream_sig_s = np.asarray(upstream_sig_s, dtype=np.float64)
         if upstream_sig_s.shape != decision.mask.shape:
             raise DimensionError("upstream_sig_s shape does not match mask shape")
-        d_sig_s += upstream_sig_s
+        d_sig_s = upstream + upstream_sig_s
     # Thresholds only see the straight-through part: mask ~ sig_s - sig_g.
-    dgate = -(upstream.sum(axis=0)) * decision.sig_g * (1.0 - decision.sig_g)
+    dgate = -np.add.reduce(upstream, axis=0) * decision.sig_g * (1.0 - decision.sig_g)
     params.g.accumulate(dgate)
     ds = d_sig_s * decision.sig_s * (1.0 - decision.sig_s)
     return _score_path_backward(ds, tokens, params, propagate_to_tokens)
@@ -189,11 +193,11 @@ def route_eval(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
     """
     decision = route_top_any(tokens, params)
     empty = decision.k == 0
-    if np.any(empty):
-        # np.argmax returns the first maximum, i.e. the lowest expert index.
-        best = np.argmax(decision.sig_s[empty], axis=1)
-        decision.mask[np.nonzero(empty)[0], best] = 1.0
-        decision.k = decision.mask.sum(axis=1).astype(np.int64)
+    if empty.any():
+        # argmax returns the first maximum, i.e. the lowest expert index.
+        best = decision.sig_s[empty].argmax(axis=1)
+        decision.mask[empty.nonzero()[0], best] = 1.0
+        decision.k = np.add.reduce(decision.mask, axis=1).astype(np.int64)
     return decision
 
 

@@ -176,6 +176,30 @@ class TestCli:
         assert main(["eval", str(tmp_path / "nope.ckpt"), str(cfg)]) == 2
         assert "checkpoint not found" in capsys.readouterr().err
 
+    def test_eval_task_dim_mismatch_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
+        run = tmp_path / "r"
+        assert main(["train", str(cfg), "--out", str(run)]) == 0
+        c32 = tmp_path / "c32.json"
+        c32.write_text(json.dumps({"task": {"d": 32}}))
+        out = tmp_path / "e"
+        assert main(["eval", str(run / "checkpoint.final"), str(c32), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dim 16" in err and "d=32" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["{}", "not json"])
+    def test_eval_unreadable_checkpoint_is_an_error(self, tmp_path, capsys, content):
+        cfg = write_config(tmp_path / "c.json")
+        ckpt = tmp_path / "ckpt"
+        ckpt.write_text(content)
+        out = tmp_path / "e"
+        assert main(["eval", str(ckpt), str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a model checkpoint" in err
+        assert not out.exists()
+
     def test_sweep_row_count_is_grid_plus_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "sweep"

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynmoe import harness
 from dynmoe.adaptive import AdaptConfig
+from dynmoe.config import parse_config_doc
 from dynmoe.harness import (
     Adam,
     MoeClassifier,
@@ -17,6 +18,7 @@ from dynmoe.harness import (
     TopKMoeBlock,
     TrainConfig,
     check_task_args,
+    evaluate,
     gen_task,
     load_model,
     model_from_doc,
@@ -443,7 +445,7 @@ class TestExpertBankOptimizerState:
                 for e, expert in enumerate(reference):
                     for p, q in zip(bank.params(), expert):
                         g = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-3, 3)
-                        p.accumulate(g, e)
+                        p.grad[e] += g
                         q.zero_grad()
                         q.accumulate(g)
                 opt_bank.step(bank.params())
@@ -547,6 +549,47 @@ class TestTrainStep:
                            make_optimizer(cfg), plugins)
         assert "mean_k_efficiency" in stats.aux.extra
         stats.aux.validate()
+
+    def test_step_and_eval_call_numpy_primitives(self, monkeypatch):
+        # The per-step path evaluates numpy's norm, mean, any/all, clip and
+        # eye expressions itself, computes the combine weights once, and adds
+        # expert gradients straight into the stacked tensors, so a 1-layer
+        # step accumulates only into the head (twice), w_g (router backward
+        # and auxiliary loss) and g.
+        spec = parse_config_doc({})  # the desk (acceptance) configuration
+        task = gen_task(**asdict(spec.task))
+        cfg = spec.train
+        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        opt = make_optimizer(cfg)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("numpy wrapper called on the step path")
+
+        for owner, name in ((np.linalg, "norm"), (np, "mean"), (np, "any"), (np, "all"),
+                            (np, "clip"), (np, "eye")):
+            monkeypatch.setattr(owner, name, banned)
+        accumulated, combines = [], []
+        accumulate, combine_weights = Param.accumulate, moe_layer._combine_weights
+
+        def counted_accumulate(p, g):
+            accumulated.append(p.name)
+            accumulate(p, g)
+
+        def counted_combine_weights(*args):
+            combines.append(args)
+            return combine_weights(*args)
+
+        monkeypatch.setattr(Param, "accumulate", counted_accumulate)
+        monkeypatch.setattr(moe_layer, "_combine_weights", counted_combine_weights)
+        model.blocks[0].layer.record.start()
+        for step in range(2):
+            accumulated.clear()
+            rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
+            train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt)
+            assert sorted(accumulated) == ["b_out", "g", "w_g", "w_g", "w_out"]
+        assert len(combines) == 2
+        accuracy, stats, _ = evaluate(model, task.tokens[:256], task.labels[:256])
+        assert 0.0 <= accuracy <= 1.0 and stats[0].n_tokens == 256
 
 
 class TestTopKMoeBlockBackward:

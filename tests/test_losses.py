@@ -39,6 +39,27 @@ class TestDiversitySimplicity:
         assert abs(report.diversity - math.sqrt(3)) < 1e-12
         assert report.simplicity == 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_for_bit_with_numpy_wrapper_expressions(self, seed):
+        # the loss evaluates np.linalg.norm, mean and eye itself; a zero
+        # column takes the subgradient 0 of its norm
+        rng = np.random.default_rng(seed)
+        d, k = (int(v) for v in rng.integers(2, 9, size=2))
+        w = rng.standard_normal((d, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        w[:, rng.random(k) < 0.3] = 0.0
+        p = Param(w)
+        report = diversity_simplicity_loss(p)
+        m = w.T @ w - np.eye(k)
+        norms = np.linalg.norm(w, axis=0)
+        assert report.diversity == float(np.linalg.norm(m))
+        assert report.simplicity == float(norms.mean())
+        want = np.zeros_like(w)
+        if report.diversity > 0.0:
+            want += (2.0 / report.diversity) * (w @ m)
+        nz = norms > 0.0
+        want[:, nz] += w[:, nz] / (k * norms[nz])
+        np.testing.assert_array_equal(p.grad, want)
+
     def test_gradient_matches_finite_differences(self, rng):
         w = Param(rng.standard_normal((4, 3)))
         report = diversity_simplicity_loss(w)

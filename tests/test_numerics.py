@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynmoe.numerics import (
@@ -13,6 +13,7 @@ from dynmoe.numerics import (
     cosine_scores_batch,
     finite_diff_grad,
     sigmoid,
+    vector_norm,
 )
 
 from conftest import rel_err
@@ -151,15 +152,44 @@ class TestParam:
         with pytest.raises(DimensionError):
             p.accumulate(np.zeros(3))
 
-    def test_slot_accumulate_touches_one_slot(self):
-        p = Param(np.zeros((3, 2)))
-        p.accumulate(np.array([1.0, 2.0]), 1)
-        p.accumulate(np.array([1.0, 2.0]), 1)
-        np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
-        with pytest.raises(DimensionError):
-            p.accumulate(np.zeros((3, 2)), 0)
-
     def test_replace_keeps_shapes_consistent(self):
         p = Param(np.zeros((2, 3)))
         p.replace(np.zeros((2, 2)))
         assert p.grad.shape == (2, 2)
+
+
+def scaled_arrays(max_dims=2):
+    """Float64 arrays of 1 to ``max_dims`` axes whose entries span about
+    1e-100 to 1e101 in magnitude, both signs."""
+    shapes = st.lists(st.integers(1, 7), min_size=1, max_size=max_dims)
+    return st.tuples(shapes, st.integers(0, 2**32 - 1)).map(_draw_scaled)
+
+
+def _draw_scaled(args):
+    shape, seed = args
+    rng = np.random.default_rng(seed)
+    mantissa = rng.uniform(-10.0, 10.0, size=shape)
+    return mantissa * 10.0 ** rng.integers(-100, 101, size=shape)
+
+
+class TestVectorNorm:
+    """``vector_norm`` and the Frobenius expression the auxiliary loss uses
+    are numpy's own norm expressions, so they must match ``np.linalg.norm``
+    bit for bit."""
+
+    @given(x=scaled_arrays(), axis=st.integers(0, 1), keepdims=st.booleans())
+    @example(x=np.array([[1e-100, 3e100], [-4e-100, 0.0]]), axis=1, keepdims=True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linalg_norm_bit_for_bit(self, x, axis, keepdims):
+        axis = min(axis, x.ndim - 1)
+        got = vector_norm(x, axis=axis, keepdims=keepdims)
+        want = np.linalg.norm(x, axis=axis, keepdims=keepdims)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @given(m=scaled_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_frobenius_expression_matches_linalg_norm(self, m):
+        m = np.atleast_2d(m)
+        r = m.ravel()
+        assert math.sqrt(r.dot(r)) == float(np.linalg.norm(m))

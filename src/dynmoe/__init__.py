@@ -2,13 +2,8 @@
 an orthogonality-plus-norm auxiliary loss, and an adaptive process that
 grows and prunes the expert set during training."""
 
-from .adaptive import AdaptConfig, AdaptReport, RoutingRecord, adapt, init_new_expert, record
-from .losses import (
-    AuxLossReport,
-    diversity_simplicity_loss,
-    get_plugin,
-    gshard_style_balance_loss,
-)
+from .adaptive import AdaptConfig, AdaptReport, RoutingRecord, adapt, record
+from .losses import AuxLossReport, diversity_simplicity_loss
 from .moe_layer import (
     ExpertMlp,
     MoeLayer,
@@ -56,9 +51,6 @@ __all__ = [
     "cosine_scores_batch",
     "diversity_simplicity_loss",
     "finite_diff_grad",
-    "get_plugin",
-    "gshard_style_balance_loss",
-    "init_new_expert",
     "moe_backward",
     "moe_forward",
     "record",

@@ -5,7 +5,8 @@ activated it, and sums the embeddings of tokens that activated nothing.
 When the window closes, experts nobody used are deleted, and if any tokens
 went unserved a single new expert is appended whose representation column
 is the normalized sum of those tokens (threshold zero), so the very tokens
-that triggered the addition are guaranteed to activate it.
+that triggered the addition are guaranteed to activate it. Its MLP weights
+are drawn fresh, as the initial experts' are.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .numerics import ConfigurationError, DimensionError
 
 log = logging.getLogger(__name__)
-
-INIT_STRATEGIES = ("paper_rs", "average", "w_average", "most_activated")
 
 
 @dataclass
@@ -85,7 +84,6 @@ class AdaptConfig:
     max_experts: int = 16
     check_interval: int = 100
     record_window: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
-    init_strategy: str = "paper_rs"
     min_experts: int = 1
 
     def __post_init__(self) -> None:
@@ -98,10 +96,6 @@ class AdaptConfig:
         start, end = self.record_window
         if not 0.0 <= start < end <= 1.0:
             raise ConfigurationError(f"record_window must satisfy 0 <= start < end <= 1, got {self.record_window}")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown init_strategy {self.init_strategy!r}; choose from {INIT_STRATEGIES}"
-            )
 
 
 @dataclass
@@ -122,45 +116,7 @@ class AdaptReport:
         }
 
 
-def init_new_expert(strategy: str, experts, r_e: np.ndarray, rng=None) -> list[np.ndarray]:
-    """Build the tensors of a newly added expert from the existing ones.
-
-    ``experts`` is an ``ExpertMlp`` bank; the result holds one slice per bank
-    tensor, in ``experts.params()`` order. ``paper_rs`` draws fresh random
-    weights with the same scheme used for the initial experts; ``average``
-    takes the arithmetic mean over the expert axis; ``w_average`` weights
-    that mean by the recorded activation counts (falling back to the plain
-    average when all counts are zero); ``most_activated`` copies the expert
-    with the highest count.
-    """
-    if experts.n_experts == 0:
-        raise ValueError("cannot initialize a new expert from an empty expert bank")
-    if strategy not in INIT_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown init_strategy {strategy!r}; choose from {INIT_STRATEGIES}"
-        )
-    if strategy == "paper_rs":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        fresh = type(experts).random(*experts.w1.shape[1:], 1, rng)
-        return [p.value[0] for p in fresh.params()]
-    if strategy == "most_activated":
-        e = int(np.argmax(r_e))
-        return [p.value[e].copy() for p in experts.params()]
-
-    r_e = np.asarray(r_e, dtype=np.float64)
-    if strategy == "w_average" and r_e.sum() == 0.0:
-        log.warning("w_average requested with all-zero counts; falling back to average")
-        strategy = "average"
-    if strategy == "average":
-        coeffs = np.full(experts.n_experts, 1.0 / experts.n_experts)
-    else:
-        coeffs = r_e / r_e.sum()
-    return [(coeffs.reshape((-1,) + (1,) * (p.value.ndim - 1)) * p.value).sum(axis=0)
-            for p in experts.params()]
-
-
-def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
+def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator) -> AdaptReport:
     """Remove never-activated experts, then add one if tokens went unserved.
 
     Removal first: every expert with a zero activation count is deleted
@@ -168,7 +124,8 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
     ``cfg.min_experts`` (the lowest-index candidates survive a clamp).
     Then, if the record holds unserved-token mass and there is room under
     ``cfg.max_experts``, one expert is appended with representation column
-    r_s / |r_s| and threshold 0, its weights built per ``cfg.init_strategy``.
+    r_s / |r_s|, threshold 0 and MLP weights drawn from ``rng`` as
+    ``ExpertMlp.random`` draws them.
     Both steps take or append one slice along the expert axis of every
     tensor in ``layer.expert_indexed()``. The record is reset either way.
     """
@@ -191,8 +148,8 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng=None) -> AdaptReport:
 
     r_s_norm = float(np.linalg.norm(rec.r_s))
     if r_s_norm > 0.0 and len(keep) < cfg.max_experts:
-        new = [rec.r_s / r_s_norm, 0.0,
-               *init_new_expert(cfg.init_strategy, layer.experts, rec.r_e[keep], rng=rng)]
+        fresh = type(layer.experts).random(layer.d, layer.h, 1, rng)
+        new = [rec.r_s / r_s_norm, 0.0, *(p.value[0] for p in fresh.params())]
         for (p, axis), value in zip(layer.expert_indexed(), new):
             p.replace(np.concatenate([p.value, np.expand_dims(value, axis)], axis=axis))
         report.added = True

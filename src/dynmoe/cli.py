@@ -46,10 +46,8 @@ REPORT_SCHEMA = "dynmoe-report/1"
 FLAG_KEYS = {
     "seed": ("train", "seed"),
     "aux_weight": ("train", "aux_loss_weight"),
-    "combine": ("train", "combine"),
     "max_experts": ("adapt", "max_experts"),
     "check_interval": ("adapt", "check_interval"),
-    "init_strategy": ("adapt", "init_strategy"),
     "router": ("router", "kind"),
     "K": ("router", "n_experts"),
     "k": ("router", "top_k"),
@@ -277,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_train)
     p_train.add_argument("--max-experts", type=int, default=None, dest="max_experts")
     p_train.add_argument("--check-interval", type=int, default=None, dest="check_interval")
-    p_train.add_argument("--init-strategy", default=None, dest="init_strategy",
-                         choices=["paper_rs", "average", "w_average", "most_activated"])
     p_train.add_argument("--aux-weight", type=float, default=None, dest="aux_weight")
-    p_train.add_argument("--combine", choices=["mean", "weighted"], default=None)
     p_train.add_argument("--router", choices=["dynmoe", "topk"], default=None)
     p_train.set_defaults(handler=cmd_train)
 

@@ -3,8 +3,8 @@ harness dataclasses, with errors that point at the offending place.
 
 Each section is read against its dataclass (``task`` -> :class:`TaskSpec`,
 ``train`` -> ``TrainConfig``, ``train.optimizer`` -> ``OptimizerConfig``,
-``adapt`` -> ``AdaptConfig``, ``router`` -> :class:`RouterSpec`, each
-``plugins`` entry -> :class:`PluginSpec`, ``sweep`` -> :class:`SweepSpec`):
+``adapt`` -> ``AdaptConfig``, ``router`` -> :class:`RouterSpec`, ``sweep``
+-> :class:`SweepSpec`):
 a key the section omits keeps the dataclass default, and a key it sets must
 have the JSON type of the field.
 """
@@ -20,7 +20,6 @@ from typing import get_args, get_origin, get_type_hints
 
 from .adaptive import AdaptConfig
 from .harness import TrainConfig, check_task_args
-from .losses import get_plugin
 from .numerics import ConfigurationError
 
 CONFIG_SCHEMA = "dynmoe-config/1"
@@ -58,15 +57,6 @@ class RouterSpec:
 
 
 @dataclass
-class PluginSpec:
-    name: str
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        get_plugin(self.name)
-
-
-@dataclass
 class SweepSpec:
     n_experts_grid: tuple[int, ...] = (2, 4, 8)
     top_k_grid: tuple[int, ...] = (1, 2)
@@ -88,14 +78,13 @@ class RunSpec:
         """The normalized document: every key, defaults filled in. Parsing it
         gives this spec back."""
         train = asdict(self.train)
-        adapt, plugins = train.pop("adapt"), train.pop("plugins")
+        adapt = train.pop("adapt")
         return {
             "schema": CONFIG_SCHEMA,
             "task": asdict(self.task),
             "train": train,
             "adapt": adapt,
             "router": asdict(self.router),
-            "plugins": [{"name": name, "weight": weight} for name, weight in plugins],
             "sweep": asdict(self.sweep),
         }
 
@@ -108,7 +97,6 @@ def _is_number(value) -> bool:
 
 # Python type -> (what the JSON value must be, test of the JSON value)
 _SCALARS = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
@@ -147,7 +135,7 @@ def _section(cls, raw, where: str, **given):
     names = [f.name for f in fields(cls) if f.name not in given]
     unknown = sorted(set(raw) - set(names))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+        raise ConfigError(f"unknown key(s): {[f'{where}.{key}' for key in unknown]}")
     for f in fields(cls):
         if f.name in names and f.name not in raw and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{where}.{f.name} is required")
@@ -166,15 +154,11 @@ def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
         schema = doc.get("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported schema {schema!r}, expected {CONFIG_SCHEMA!r}")
-        unknown = sorted(set(doc) - {"schema", "task", "train", "adapt", "router", "plugins", "sweep"})
+        unknown = sorted(set(doc) - {"schema", "task", "train", "adapt", "router", "sweep"})
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {unknown}")
-        plugins = _value(doc.get("plugins", []), tuple[PluginSpec, ...], "plugins")
-        train = _section(
-            TrainConfig, doc.get("train", {}), "train",
-            adapt=_value(doc.get("adapt", {}), AdaptConfig | None, "adapt"),
-            plugins=tuple((p.name, p.weight) for p in plugins),
-        )
+        train = _section(TrainConfig, doc.get("train", {}), "train",
+                         adapt=_value(doc.get("adapt", {}), AdaptConfig | None, "adapt"))
         return RunSpec(
             task=_section(TaskSpec, doc.get("task", {}), "task"),
             train=train,

@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import AdaptConfig, adapt, record
-from .losses import AuxLossReport, diversity_simplicity_loss, get_plugin
+from .losses import AuxLossReport, diversity_simplicity_loss
 from .moe_layer import (
-    COMBINES,
     ExpertMlp,
     MoeLayer,
     _dispatch,
@@ -46,6 +45,8 @@ from .telemetry import (
 )
 
 MODEL_SCHEMA = "dynmoe-model/1"
+# DynMoE checkpoints name their combine; the mean is the only one there is.
+CHECKPOINT_COMBINE = "mean"
 TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
 
 # gen_task builds tokens this many rows at a time (the rows do not depend on
@@ -193,26 +194,9 @@ def gen_task(
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"  # "adam" or "sgd"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("adam", "sgd"):
-            raise ConfigurationError(f"unknown optimizer {self.kind!r}")
-
-
-class Sgd:
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, params) -> None:
-        for p in params:
-            p.value -= self.lr * p.grad
-
-    def resize(self, param, keep, n_new, axis) -> None:
-        pass
 
 
 class Adam:
@@ -344,10 +328,8 @@ class Adam:
         self._value = None  # the layout moved: the next step packs again
 
 
-def make_optimizer(cfg: "TrainConfig"):
+def make_optimizer(cfg: "TrainConfig") -> Adam:
     oc = cfg.optimizer
-    if oc.kind == "sgd":
-        return Sgd(cfg.learning_rate)
     return Adam(cfg.learning_rate, oc.beta1, oc.beta2, oc.eps)
 
 
@@ -356,18 +338,16 @@ def make_optimizer(cfg: "TrainConfig"):
 class DynMoeBlock:
     """Residual block around one adaptive-routing MoE layer."""
 
-    def __init__(self, layer: MoeLayer, combine: str = "mean", detach_router_tokens: bool = False):
+    def __init__(self, layer: MoeLayer):
         self.layer = layer
-        self.combine = combine
-        self.detach_router_tokens = detach_router_tokens
 
     def forward(self, x, mode):
-        out, decision = moe_forward(self.layer, x, mode, self.combine)
+        out, decision = moe_forward(self.layer, x, mode)
         return x + out, (x, decision)
 
     def backward(self, cache, d_out):
         x, decision = cache
-        return d_out + moe_backward(self.layer, decision, x, d_out, self.detach_router_tokens)
+        return d_out + moe_backward(self.layer, decision, x, d_out)
 
     def params(self):
         return self.layer.params()
@@ -429,14 +409,8 @@ class MoeClassifier:
 
     @classmethod
     def build_dynmoe(cls, d, cfg: "TrainConfig", rng) -> "MoeClassifier":
-        blocks = [
-            DynMoeBlock(
-                MoeLayer.random(d, cfg.hidden, cfg.init_experts, rng),
-                combine=cfg.combine,
-                detach_router_tokens=cfg.detach_router_tokens,
-            )
-            for _ in range(cfg.n_layers)
-        ]
+        blocks = [DynMoeBlock(MoeLayer.random(d, cfg.hidden, cfg.init_experts, rng))
+                  for _ in range(cfg.n_layers)]
         head = Param(rng.standard_normal((d, cfg.n_classes)) / math.sqrt(d), name="w_out")
         return cls(blocks, head, Param(np.zeros(cfg.n_classes), name="b_out"))
 
@@ -514,9 +488,6 @@ class TrainConfig:
     hidden: int = 16
     init_experts: int = 2
     n_classes: int = 2
-    combine: str = "mean"
-    detach_router_tokens: bool = False
-    plugins: tuple[tuple[str, float], ...] = ()
     eval_fraction: float = 0.2
 
     def __post_init__(self) -> None:
@@ -530,8 +501,6 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ConfigurationError("eval_fraction must be in (0, 1)")
-        if self.combine not in COMBINES:
-            raise ConfigurationError(f"combine must be 'mean' or 'weighted', got {self.combine!r}")
 
 
 @dataclass
@@ -558,8 +527,8 @@ class RunResult:
 
 # --- training ----------------------------------------------------------------
 
-def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -> StepStats:
-    """One optimizer update: task loss, auxiliary losses, routing records."""
+def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt) -> StepStats:
+    """One optimizer update: task loss, auxiliary loss, routing records."""
     tokens, labels = batch
     model.zero_grad()
     logits, caches, h_final = model.forward(tokens, mode="train")
@@ -573,29 +542,16 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, plugins=()) -
     k_values = []
     if model.kind == "dynmoe":
         diversity = simplicity = 0.0
-        extra: dict[str, float] = {}
         for block, cache in zip(model.blocks, caches):
             x_in, decision = cache
             k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
             rep = diversity_simplicity_loss(block.layer.router.w_g, weight=cfg.aux_loss_weight)
             diversity += rep.diversity
             simplicity += rep.simplicity
-            for name, plugin, weight in plugins:
-                value, grad_mask = plugin(decision, decision.sig_s, block.layer.router)
-                extra[name] = extra.get(name, 0.0) + value
-                if grad_mask is not None:
-                    from .router import route_top_any_backward
-
-                    route_top_any_backward(
-                        decision, weight * grad_mask, x_in, block.layer.router,
-                        propagate_to_tokens=False,
-                    )
             if block.layer.record.recording:
                 record(block.layer.record, decision, x_in)
-        aux_report = AuxLossReport(
-            diversity=diversity, simplicity=simplicity,
-            total=diversity + simplicity + sum(extra.values()), extra=extra,
-        )
+        aux_report = AuxLossReport(diversity=diversity, simplicity=simplicity,
+                                   total=diversity + simplicity)
     else:
         for cache in caches:
             k_values.append(float(np.add.reduce(cache[1].k) / len(cache[1].k)))
@@ -671,7 +627,6 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
     train_idx, eval_idx = split_task(task, cfg)
     eval_tokens, eval_labels = task.tokens[eval_idx], task.labels[eval_idx]
     opt = make_optimizer(cfg)
-    plugins = [(name, get_plugin(name), weight) for name, weight in cfg.plugins]
 
     metrics = MetricsLog()
     k_traj = [(0, model.expert_counts())]
@@ -698,9 +653,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
             for block in model.blocks:
                 block.layer.record.start()
 
-        last_stats = train_step(
-            model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt, plugins
-        )
+        last_stats = train_step(model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt)
 
         if adapting and step % interval == end_pos - 1 and model.blocks[0].layer.record.recording:
             for li, block in enumerate(model.blocks):
@@ -794,7 +747,7 @@ def model_to_doc(model: MoeClassifier) -> dict:
     for block in model.blocks:
         if isinstance(block, DynMoeBlock):
             doc["layers"].append(layer_to_doc(block.layer))
-            doc["combine"] = block.combine
+            doc["combine"] = CHECKPOINT_COMBINE
         else:
             doc["layers"].append(_topk_block_to_doc(block))
     return doc
@@ -803,17 +756,24 @@ def model_to_doc(model: MoeClassifier) -> dict:
 def model_from_doc(doc: dict) -> MoeClassifier:
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
-    blocks = []
-    for layer_doc in doc["layers"]:
-        if doc["kind"] == "dynmoe":
-            blocks.append(DynMoeBlock(layer_from_doc(layer_doc), combine=doc.get("combine", "mean")))
-        else:
-            blocks.append(_topk_block_from_doc(layer_doc))
-    return MoeClassifier(
-        blocks,
-        Param(np.array(doc["head_w"]), name="w_out"),
-        Param(np.array(doc["head_b"]), name="b_out"),
-    )
+    kind = doc["kind"]
+    if kind not in ("dynmoe", "topk"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if doc.get("combine", CHECKPOINT_COMBINE) != CHECKPOINT_COMBINE:
+        raise ValueError(f"unsupported combine {doc['combine']!r}, expected {CHECKPOINT_COMBINE!r}")
+    if not doc["layers"]:
+        raise ValueError("a model needs at least one layer")
+    head_w, head_b = np.array(doc["head_w"]), np.array(doc["head_b"])
+    if head_w.ndim != 2 or head_b.shape != head_w.shape[1:]:
+        raise ValueError(f"head_w of shape {head_w.shape} does not fit head_b of shape {head_b.shape}")
+    dims = [layer_doc["d"] for layer_doc in doc["layers"]]
+    if any(d != head_w.shape[0] for d in dims):
+        raise ValueError(f"layer dims {dims} do not match the {head_w.shape[0]} rows of head_w")
+    if kind == "dynmoe":
+        blocks = [DynMoeBlock(layer_from_doc(layer_doc)) for layer_doc in doc["layers"]]
+    else:
+        blocks = [_topk_block_from_doc(layer_doc) for layer_doc in doc["layers"]]
+    return MoeClassifier(blocks, Param(head_w, name="w_out"), Param(head_b, name="b_out"))
 
 
 def save_model(model: MoeClassifier, path) -> None:

@@ -3,10 +3,9 @@
 Forward: each token runs exactly the experts its mask activates and the
 layer output is their unweighted mean (tokens that activate nothing output
 the zero vector in training mode, which reads as identity pass-through
-under a residual connection). A score-weighted combine exists solely for
-ablation comparisons. Dispatch is pair-wise: each expert runs once, on the
-rows that activate it. In training mode the combine, its weights and the
-outputs and expert caches of those activated pairs are kept on the
+under a residual connection). Dispatch is pair-wise: each expert runs once,
+on the rows that activate it. In training mode the combine weights, 1 / k
+and the outputs and expert caches of those activated pairs are kept on the
 decision, and the backward reuses them instead of computing the weights
 again or running any expert again on them.
 
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.special import erf
 
 from .adaptive import RoutingRecord
-from .numerics import ConfigurationError, DimensionError, Param
+from .numerics import DimensionError, Param
 from .router import (
     GatingDecision,
     RouterParams,
@@ -47,7 +46,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_SCHEMA = "dynmoe-layer/1"
-COMBINES = ("mean", "weighted")
 EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
@@ -153,6 +151,8 @@ class MoeLayer:
                 f"routing record tracks {self.record.r_e.shape[0]} experts, layer has {k}"
             )
         d, h = self.d, self.h
+        if self.router.dim != d:
+            raise DimensionError(f"router columns of dim {self.router.dim} in a layer of d={d}")
         if [p.shape for p in self.experts.params()] != [(k, d, h), (k, h), (k, h, d), (k, d)]:
             raise DimensionError("expert tensor shapes inconsistent with layer dims")
 
@@ -243,43 +243,34 @@ def _pairs_backward(
     return d_tokens, dots
 
 
-def _combine_weights(decision: GatingDecision, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Combine weights t / T and the per-token 1 / T (0 where T = 0).
-
-    t is the mask (mean combine) or sig_s * mask (score-weighted combine),
-    and T_i = sum_e t[i, e].
-    """
-    t = decision.sig_s * decision.mask if weighted else decision.mask
-    totals = np.add.reduce(t, axis=1)
+def _combine_weights(decision: GatingDecision) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-combine weights mask / k and the per-token 1 / k (0 where k = 0)."""
+    mask = decision.mask
+    totals = np.add.reduce(mask, axis=1)
     inv_t = np.divide(1.0, totals, out=np.zeros(totals.shape), where=totals > 0.0)
-    return t * inv_t[:, None], inv_t
+    return mask * inv_t[:, None], inv_t
 
 
 def moe_forward(
-    layer: MoeLayer, tokens: np.ndarray, mode: str = "train", combine: str = "mean"
+    layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
 ) -> tuple[np.ndarray, GatingDecision]:
-    """Route tokens and combine the activated expert outputs.
+    """Route tokens and return the unweighted mean of their activated
+    experts' outputs.
 
-    ``combine="mean"`` is the unweighted mean over activated experts;
-    ``combine="weighted"`` is the ablation that weights each activated expert
-    by sig_s[i, e] / sum of sig_s over the token's activated experts.
     ``mode="train"`` permits k = 0 rows (their output is the zero vector)
-    and caches the combine, the activated pairs, the combine weights and
-    1 / T on the decision for :func:`moe_backward`; ``mode="eval"`` falls
-    back to top-1 so every token runs at least one expert, and keeps no
-    cache.
+    and caches the activated pairs, the combine weights and 1 / k on the
+    decision for :func:`moe_backward`; ``mode="eval"`` falls back to top-1
+    so every token runs at least one expert, and keeps no cache.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if combine not in COMBINES:
-        raise ConfigurationError(f"combine must be 'mean' or 'weighted', got {combine!r}")
     layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
     decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    weights, inv_t = _combine_weights(decision, combine == "weighted")
+    weights, inv_t = _combine_weights(decision)
     out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")
     if pairs is not None:
-        decision.expert_cache = (combine, pairs, weights, inv_t)
+        decision.expert_cache = (pairs, weights, inv_t)
     return out, decision
 
 
@@ -288,21 +279,18 @@ def moe_backward(
     decision: GatingDecision,
     tokens: np.ndarray,
     upstream: np.ndarray,
-    detach_router_tokens: bool = False,
 ) -> np.ndarray:
     """Accumulate gradients for all layer params; return the token gradient.
 
     ``decision`` must come from a train-mode :func:`moe_forward` on
-    ``tokens``: it carries the combine, its weights and the cached
-    activated pairs, and without them (eval-mode or bare router decisions)
-    this raises ``ValueError``. The eval fallback would also break the mask/threshold
+    ``tokens``: it carries the combine weights and the cached activated
+    pairs, and without them (eval-mode or bare router decisions) this raises
+    ``ValueError``. The eval fallback would also break the mask/threshold
     relation the straight-through rule relies on. Expert weight gradients
-    flow through the cached activated pairs scaled by t / T. The mask
+    flow through the cached activated pairs scaled by 1 / k. The mask
     gradient also needs the outputs of non-activated experts on tokens with
     k > 0; those come from one forward-only pass per expert over exactly
-    those rows. Under the weighted combine (t = sig_s * mask) gradients reach
-    the router along two routes: a smooth one through sig_s (activated
-    entries) and the usual straight-through one through the mask.
+    those rows.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -314,29 +302,18 @@ def moe_backward(
     if decision.mask.shape[1] != layer.n_experts:
         raise DimensionError("decision does not match the layer's current expert count")
 
-    combine, pairs, weights, inv_t = _require_cache(decision.expert_cache)
-    weighted = combine == "weighted"
+    pairs, weights, inv_t = _require_cache(decision.expert_cache)
     d_tokens, dots = _pairs_backward(layer.experts, pairs, upstream, weights)
-    # The mask seed <u_i, E_e(x_i) - y_i> / T_i also needs the outputs of
-    # experts a token did not activate; rows with T_i = 0 have a zero seed.
+    # The mask seed <u_i, E_e(x_i) - y_i> / k_i also needs the outputs of
+    # experts a token did not activate; rows with k_i = 0 have a zero seed.
     off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
     for e in range(layer.n_experts):
         idx = off[:, e].nonzero()[0]
         if idx.size:
             out_e = layer.experts.forward(e, tokens[idx])[0]
             dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
-    d_t = (dots - np.add.reduce(weights * dots, axis=1, keepdims=True)) * inv_t[:, None]
-    if weighted:
-        # Product rule on t = sig_s * mask: the sig_s path is a real
-        # gradient, the mask path is the straight-through seed.
-        d_mask, d_sig_s = d_t * decision.sig_s, d_t * decision.mask
-    else:
-        d_mask, d_sig_s = d_t, None
-    d_tokens += route_top_any_backward(
-        decision, d_mask, tokens, layer.router,
-        propagate_to_tokens=not detach_router_tokens,
-        upstream_sig_s=d_sig_s,
-    )
+    d_mask = (dots - np.add.reduce(weights * dots, axis=1, keepdims=True)) * inv_t[:, None]
+    d_tokens += route_top_any_backward(decision, d_mask, tokens, layer.router)
     return d_tokens
 
 

@@ -90,11 +90,11 @@ class GatingDecision:
     ``mask`` is the {0, 1} activation indicator, ``k`` the per-token count
     of activated experts (row sums of the mask), ``s`` the raw cosine
     scores, ``sig_s``/``sig_g`` their squashed forms. ``k`` may be zero in
-    training mode. ``expert_cache`` holds the layer's combine; for each
-    expert some token activates, its index, the activated rows, their
-    outputs and the expert's forward cache; the combine weights; and the
-    per-token 1 / T. A train-mode layer forward fills it for the layer
-    backward, and it stays ``None`` everywhere else.
+    training mode. ``expert_cache`` holds, for each expert some token
+    activates, its index, the activated rows, their outputs and the expert's
+    forward cache; then the combine weights and the per-token 1 / k. A
+    train-mode layer forward fills it for the layer backward, and it stays
+    ``None`` everywhere else.
     """
 
     mask: np.ndarray   # (N, K) entries in {0.0, 1.0}
@@ -102,7 +102,7 @@ class GatingDecision:
     s: np.ndarray      # (N, K)
     sig_s: np.ndarray  # (N, K)
     sig_g: np.ndarray  # (K,)
-    expert_cache: tuple[str, list, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    expert_cache: tuple[list, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_tokens(self) -> int:
@@ -129,13 +129,28 @@ def route_top_any(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
     return GatingDecision(mask=mask, k=k, s=s, sig_s=sig_s, sig_g=sig_g)
 
 
-def _score_path_backward(
-    ds: np.ndarray,
+def route_top_any_backward(
+    decision: GatingDecision,
+    upstream: np.ndarray,
     tokens: np.ndarray,
     params: RouterParams,
-    propagate_to_tokens: bool,
 ) -> np.ndarray:
-    """Chain a gradient wrt the raw cosine scores into w_g (and the tokens)."""
+    """Straight-through backward: copy dL/dmask onto sigmoid(s) - sigmoid(g).
+
+    Accumulates into ``params.w_g.grad`` and ``params.g.grad`` and returns
+    the gradient wrt the tokens.
+    """
+    tokens = np.asarray(tokens, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != decision.mask.shape:
+        raise DimensionError(
+            f"upstream shape {upstream.shape} does not match mask shape {decision.mask.shape}"
+        )
+    # mask ~ sig_s - sig_g
+    dgate = -np.add.reduce(upstream, axis=0) * decision.sig_g * (1.0 - decision.sig_g)
+    params.g.accumulate(dgate)
+    ds = upstream * decision.sig_s * (1.0 - decision.sig_s)
+    # chain ds through the cosine scores into w_g and the tokens
     w = params.w_g.value
     tok_norm = vector_norm(tokens, axis=1, keepdims=True)         # (N, 1)
     col_norm = vector_norm(w, axis=0, keepdims=True)              # (1, K)
@@ -144,44 +159,7 @@ def _score_path_backward(
     ds_s = ds * s
     grad_w = tokens.T @ scaled - w * (np.add.reduce(ds_s, axis=0) / col_norm[0] ** 2)
     params.w_g.accumulate(grad_w)
-    if not propagate_to_tokens:
-        return np.zeros(tokens.shape)
     return scaled @ w.T - tokens * (np.add.reduce(ds_s, axis=1, keepdims=True) / tok_norm**2)
-
-
-def route_top_any_backward(
-    decision: GatingDecision,
-    upstream: np.ndarray,
-    tokens: np.ndarray,
-    params: RouterParams,
-    propagate_to_tokens: bool = True,
-    upstream_sig_s: np.ndarray | None = None,
-) -> np.ndarray:
-    """Straight-through backward: copy dL/dmask onto sigmoid(s) - sigmoid(g).
-
-    Accumulates into ``params.w_g.grad`` and ``params.g.grad`` and returns
-    the gradient wrt the tokens. ``propagate_to_tokens=False`` detaches the
-    token path (the threshold and representation gradients are unaffected).
-    ``upstream_sig_s`` carries an optional additional smooth gradient wrt
-    sigmoid(s), used by losses that depend on the squashed scores directly.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != decision.mask.shape:
-        raise DimensionError(
-            f"upstream shape {upstream.shape} does not match mask shape {decision.mask.shape}"
-        )
-    d_sig_s = upstream
-    if upstream_sig_s is not None:
-        upstream_sig_s = np.asarray(upstream_sig_s, dtype=np.float64)
-        if upstream_sig_s.shape != decision.mask.shape:
-            raise DimensionError("upstream_sig_s shape does not match mask shape")
-        d_sig_s = upstream + upstream_sig_s
-    # Thresholds only see the straight-through part: mask ~ sig_s - sig_g.
-    dgate = -np.add.reduce(upstream, axis=0) * decision.sig_g * (1.0 - decision.sig_g)
-    params.g.accumulate(dgate)
-    ds = d_sig_s * decision.sig_s * (1.0 - decision.sig_s)
-    return _score_path_backward(ds, tokens, params, propagate_to_tokens)
 
 
 def route_eval(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
@@ -257,7 +235,6 @@ def route_top_k_backward(
     d_weights: np.ndarray,
     tokens: np.ndarray,
     w_g: Param,
-    propagate_to_tokens: bool = True,
 ) -> np.ndarray:
     """Backward through renormalized-softmax combine weights.
 
@@ -280,6 +257,4 @@ def route_top_k_backward(
     )
     dz = p * (dp - (dp * p).sum(axis=1, keepdims=True))
     w_g.accumulate(tokens.T @ dz)
-    if not propagate_to_tokens:
-        return np.zeros_like(tokens)
     return dz @ w_g.value.T

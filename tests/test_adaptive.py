@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from dynmoe.adaptive import AdaptConfig, adapt, init_new_expert, record
+from dynmoe.adaptive import AdaptConfig, adapt, record
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_forward
 from dynmoe.numerics import ConfigurationError
 from dynmoe.router import route_top_any
@@ -207,54 +209,21 @@ class TestAdapt:
 
 
 class TestInitNewExpert:
-    def test_average_of_opposite_experts_is_zero(self, rng):
-        e1 = ExpertMlp.random(4, 3, 1, rng)
-        opposite = ExpertMlp.from_arrays(*(np.concatenate([p.value, -p.value]) for p in e1.params()))
-        new = init_new_expert("average", opposite, np.array([1, 1]))
-        for got in new:
-            np.testing.assert_allclose(got, 0.0, atol=1e-15)
-
-    def test_w_average_degenerate_weights_copies(self, rng):
-        experts = ExpertMlp.random(4, 3, 2, rng)
-        new = init_new_expert("w_average", experts, np.array([0, 7]))
-        for got, p in zip(new, experts.params()):
-            np.testing.assert_allclose(got, p.value[1], atol=1e-15)
-
-    def test_w_average_matches_direct_loop(self, rng):
-        experts = ExpertMlp.random(5, 4, 3, rng)
-        counts = np.array([1, 2, 3])
-        new = init_new_expert("w_average", experts, counts)
-        for got, p in zip(new, experts.params()):
-            want = sum(c * p.value[e] for e, c in enumerate(counts)) / counts.sum()
-            assert rel_err(got, want) < 1e-12
-
-    def test_w_average_all_zero_falls_back_to_average(self, rng):
-        experts = ExpertMlp.random(4, 3, 2, rng)
-        new = init_new_expert("w_average", experts, np.array([0, 0]))
-        for got, p in zip(new, experts.params()):
-            want = 0.5 * (p.value[0] + p.value[1])
-            assert rel_err(got, want) < 1e-12
-
-    def test_most_activated_copies_argmax(self, rng):
-        experts = ExpertMlp.random(4, 3, 3, rng)
-        w1 = init_new_expert("most_activated", experts, np.array([2, 9, 1]))[0]
-        np.testing.assert_array_equal(w1, experts.w1.value[1])
-        w1[0, 0] += 1.0  # must be an independent copy
-        assert w1[0, 0] != experts.w1.value[1, 0, 0]
-
     def test_paper_rs_fresh_random(self, rng):
-        experts = ExpertMlp.random(4, 3, 2, rng)
-        w1 = init_new_expert("paper_rs", experts, np.array([1, 1]), rng=rng)[0]
-        assert w1.shape == (4, 3)
-        assert not np.allclose(w1, experts.w1.value[0])
-
-    def test_unknown_strategy_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            init_new_expert("bogus", ExpertMlp.random(2, 2, 1, rng), np.array([1]))
-
-    def test_empty_expert_list_rejected(self, rng):
-        with pytest.raises(ValueError):
-            init_new_expert("average", ExpertMlp.random(2, 2, 0, rng), np.array([]))
+        # adapt draws the new MLP as the initial experts are drawn; kept
+        # experts stay as they were
+        layer = build_layer(rng, n_experts=3)
+        layer.record.start()
+        layer.record.r_e[:] = [5, 0, 3]
+        layer.record.r_s[:] = rng.standard_normal(layer.d)
+        kept = [p.value[[0, 2]].copy() for p in layer.experts.params()]
+        twin = copy.deepcopy(rng)
+        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        assert report.removed_experts == [1] and report.added
+        fresh = ExpertMlp.random(layer.d, layer.h, 1, twin)
+        for p, q, old in zip(layer.experts.params(), fresh.params(), kept):
+            np.testing.assert_array_equal(p.value[:2], old)
+            np.testing.assert_array_equal(p.value[2], q.value[0])
 
 
 class TestAdaptConfig:
@@ -265,5 +234,3 @@ class TestAdaptConfig:
             AdaptConfig(record_window=(0.5, 0.5))
         with pytest.raises(ConfigurationError):
             AdaptConfig(check_interval=0)
-        with pytest.raises(ConfigurationError):
-            AdaptConfig(init_strategy="nope")

@@ -1,10 +1,12 @@
+import argparse
 import json
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
-from dynmoe.cli import FLAG_KEYS, main
+from dynmoe.cli import FLAG_KEYS, build_parser, main
 from dynmoe.config import ConfigError, load_config, parse_config_doc
 
 # every key of every section set away from its default
@@ -12,15 +14,12 @@ FULL_CONFIG = {
     "schema": "dynmoe-config/1",
     "task": {"n_skills": 3, "d": 12, "n_samples": 600, "seed": 5},
     "train": {"steps": 120, "batch_size": 16, "learning_rate": 0.01,
-              "optimizer": {"kind": "sgd", "beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
+              "optimizer": {"beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
               "aux_loss_weight": 0.5, "seed": 3, "eval_every": 40, "n_layers": 2,
-              "hidden": 8, "init_experts": 3, "n_classes": 3, "combine": "weighted",
-              "detach_router_tokens": True, "eval_fraction": 0.25},
+              "hidden": 8, "init_experts": 3, "n_classes": 3, "eval_fraction": 0.25},
     "adapt": {"max_experts": 6, "check_interval": 30, "record_window": [0.25, 0.75],
-              "init_strategy": "w_average", "min_experts": 2},
+              "min_experts": 2},
     "router": {"kind": "topk", "n_experts": 4, "top_k": 2},
-    "plugins": [{"name": "gshard_balance", "weight": 0.1},
-                {"name": "mean_k_efficiency", "weight": 2.0}],
     "sweep": {"n_experts_grid": [2, 3], "top_k_grid": [1]},
 }
 
@@ -73,20 +72,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unsupported schema"):
             parse_config_doc({"schema": "other/1"})
 
+    # the keys of the deleted ablation options (train.combine,
+    # train.detach_router_tokens, train.optimizer.kind, adapt.init_strategy,
+    # plugins) fail as unknown keys rather than being ignored
     @pytest.mark.parametrize("doc, key", [
-        ({"train": {"detach_router_tokens": "false"}}, r"train\.detach_router_tokens"),
+        ({"train": {"detach_router_tokens": False}}, r"train\.detach_router_tokens"),
         ({"train": {"steps": 20.9}}, r"train\.steps"),
         ({"train": {"steps": True}}, r"train\.steps"),
         ({"train": {"learning_rate": "0.1"}}, r"train\.learning_rate"),
-        ({"train": {"combine": None}}, r"train\.combine"),
+        ({"train": {"combine": "mean"}}, r"train\.combine"),
         ({"train": {"optimizer": {"beta1": [0.9]}}}, r"train\.optimizer\.beta1"),
         ({"train": {"adapt": {}}}, r"unknown key.*adapt"),
         ({"adapt": {"record_window": [0.5]}}, r"adapt\.record_window"),
         ({"adapt": {"max_experts": 0}}, r"adapt.*max_experts"),
-        ({"plugins": [{"name": "mean_k_efficiency", "wieght": 3}]}, r"plugins\[0\].*wieght"),
-        ({"plugins": [{"name": "bogus"}]}, r"plugins\[0\].*bogus"),
-        ({"plugins": [{"weight": 1.0}]}, r"plugins\[0\]\.name"),
-        ({"plugins": {"name": "gshard_balance"}}, r"plugins must be a list"),
+        ({"plugins": []}, r"unknown top-level key.*plugins"),
+        ({"train": {"optimizer": {"kind": "adam"}}}, r"unknown key.*train\.optimizer\.kind"),
+        ({"adapt": {"init_strategy": "paper_rs"}}, r"unknown key.*adapt\.init_strategy"),
+        ({"train": {"optimizer": {"eps": True}}}, r"train\.optimizer\.eps"),
         ({"router": {"kind": "topk", "n_experts": 2, "top_k": 3}}, r"router.*top_k"),
         ({"sweep": {"top_k_grid": [1, 1.5]}}, r"sweep\.top_k_grid\[1\]"),
         ({"task": None}, r"task must be an object"),
@@ -200,6 +202,29 @@ class TestCli:
         assert err.startswith("error: ") and "not a model checkpoint" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {"kind": "bogus"}, "unknown model kind 'bogus'"),
+        (lambda doc: {"layers": []}, "at least one layer"),
+        (lambda doc: {"head_b": [0.0, 0.0, 0.0]}, "does not fit head_b of shape (3,)"),
+        (lambda doc: {"head_w": [[0.0, 0.0]] * 8}, "layer dims [16] do not match the 8 rows of head_w"),
+        (lambda doc: {"layers": [{**doc["layers"][0], "w_g": doc["layers"][0]["w_g"][:8]}]},
+         "router columns of dim 8 in a layer of d=16"),
+        (lambda doc: {"combine": "weighted"}, "unsupported combine 'weighted'"),
+    ], ids=["kind", "no_layers", "head_b", "head_w_rows", "w_g_rows", "combine"])
+    def test_eval_inconsistent_checkpoint_is_an_error(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
+        run = tmp_path / "r"
+        assert main(["train", str(cfg), "--out", str(run)]) == 0
+        doc = json.loads((run / "checkpoint.final").read_text())
+        ckpt = tmp_path / "ckpt"
+        ckpt.write_text(json.dumps({**doc, **edit(doc)}))
+        out = tmp_path / "e"
+        assert main(["eval", str(ckpt), str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a model checkpoint" in err and message in err
+        assert not out.exists()
+
     def test_sweep_row_count_is_grid_plus_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "sweep"
@@ -246,12 +271,12 @@ class TestCli:
         doc = json.loads((out / "checkpoint.final").read_text())
         assert doc["kind"] == "topk"
 
-    def test_weighted_combine_flag(self, tmp_path):
-        # every flag must reach config.snapshot; the file sets router.kind
-        # to topk, so --router dynmoe shows up only if the flag is applied
+    def test_every_flag_reaches_the_snapshot(self, tmp_path):
+        # the file sets router.kind to topk, so --router dynmoe shows up
+        # only if the flag is applied
         cfg = write_config(tmp_path / "c.json", router={"kind": "topk", "n_experts": 3, "top_k": 1})
-        train_flags = {"combine": "weighted", "seed": 4, "aux_weight": 0.5, "max_experts": 5,
-                       "check_interval": 30, "init_strategy": "average", "router": "dynmoe"}
+        train_flags = {"seed": 4, "aux_weight": 0.5, "max_experts": 5, "check_interval": 30,
+                       "router": "dynmoe"}
         baseline_flags = {"K": 4, "k": 2}
         assert set(train_flags) | set(baseline_flags) == set(FLAG_KEYS)
 
@@ -268,7 +293,24 @@ class TestCli:
                 section, key = FLAG_KEYS[dest]
                 assert snapshot[section][key] == value, dest
         assert json.loads((base / "config.snapshot").read_text())["router"]["kind"] == "topk"
-        assert json.loads((out / "checkpoint.final").read_text())["combine"] == "weighted"
+
+    @pytest.mark.parametrize("flag", [["--combine", "mean"], ["--init-strategy", "paper_rs"]])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(cfg), *flag, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_readme_useful_flags_are_the_train_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        # the "Useful flags" sentence and the one naming --config after it
+        text = readme.split("Useful flags: ", 1)[1].split("Each flag writes", 1)[0]
+        named = set(re.findall(r"`(--[a-z-]+)", text))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {s for a in sub.choices["train"]._actions for s in a.option_strings}
+        assert named == {s for s in options if s.startswith("--")} - {"--help"}
 
     @pytest.mark.parametrize("argv, key", [
         (["train", "--max-experts", "0"], "max_experts"),

@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dynmoe.losses import (
-    AuxLossReport,
-    diversity_simplicity_loss,
-    get_plugin,
-    gshard_balance_plugin,
-    gshard_style_balance_loss,
-    mean_k_efficiency_plugin,
-)
-from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad
-from dynmoe.router import RouterParams, route_top_any
+from dynmoe.losses import AuxLossReport, diversity_simplicity_loss
+from dynmoe.numerics import Param, finite_diff_grad
 
 from conftest import rel_err
 
@@ -107,92 +99,3 @@ class TestDiversitySimplicity:
         bad = AuxLossReport(diversity=1.0, simplicity=1.0, total=3.0)
         with pytest.raises(ValueError):
             bad.validate()
-
-
-class TestGshardStyleBalance:
-    def _decision(self, mask, sig_s):
-        from dynmoe.router import GatingDecision
-
-        mask = np.asarray(mask, dtype=np.float64)
-        return GatingDecision(
-            mask=mask,
-            k=mask.sum(axis=1).astype(np.int64),
-            s=np.zeros_like(mask),
-            sig_s=np.asarray(sig_s, dtype=np.float64),
-            sig_g=np.zeros(mask.shape[1]),
-        )
-
-    def test_uniform_is_one(self):
-        # four tokens, K=4, each activating a distinct expert, equal scores
-        mask = np.eye(4)
-        sig_s = np.full((4, 4), 0.3)
-        dec = self._decision(mask, sig_s)
-        assert abs(gshard_style_balance_loss(dec, sig_s) - 1.0) < 1e-12
-
-    def test_single_expert_all_mass_is_K(self):
-        mask = np.zeros((5, 3))
-        mask[:, 0] = 1.0
-        sig_s = np.zeros((5, 3))
-        sig_s[:, 0] = 0.8
-        dec = self._decision(mask, sig_s)
-        assert abs(gshard_style_balance_loss(dec, sig_s) - 3.0) < 1e-12
-
-    def test_matches_two_loop_oracle(self, rng):
-        n, k = 17, 5
-        sig_s = rng.uniform(0.05, 0.95, size=(n, k))
-        mask = (rng.uniform(size=(n, k)) < 0.4).astype(np.float64)
-        dec = self._decision(mask, sig_s)
-        got = gshard_style_balance_loss(dec, sig_s)
-
-        want = 0.0
-        for e in range(k):
-            frac = sum(mask[i, e] for i in range(n)) / n
-            mass = sum(sig_s[i, e] / sig_s[i].sum() for i in range(n)) / n
-            want += frac * mass
-        want *= k
-        assert abs(got - want) < 1e-12
-
-    def test_empty_batch_rejected(self):
-        dec = self._decision(np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            gshard_style_balance_loss(dec, np.zeros((0, 3)))
-
-
-class TestPlugins:
-    def test_registry_lookup(self):
-        assert get_plugin("gshard_balance") is gshard_balance_plugin
-        assert get_plugin("mean_k_efficiency") is mean_k_efficiency_plugin
-        with pytest.raises(ConfigurationError):
-            get_plugin("nope")
-
-    def test_gshard_plugin_mask_gradient_is_exact(self, rng):
-        params = RouterParams(
-            w_g=Param(rng.standard_normal((5, 3))), g=Param(np.zeros(3))
-        )
-        tokens = rng.standard_normal((8, 5))
-        dec = route_top_any(tokens, params)
-        value, grad_mask = gshard_balance_plugin(dec, dec.sig_s, params)
-        assert grad_mask.shape == dec.mask.shape
-        # flipping one mask entry by h changes the value by h * grad exactly
-        # (the loss is affine in the mask)
-        h = 0.5
-        for (i, e) in [(0, 0), (3, 2), (7, 1)]:
-            bumped = dec.mask.copy()
-            bumped[i, e] += h
-            from dynmoe.router import GatingDecision
-
-            dec2 = GatingDecision(
-                mask=bumped, k=dec.k, s=dec.s, sig_s=dec.sig_s, sig_g=dec.sig_g
-            )
-            v2 = gshard_style_balance_loss(dec2, dec.sig_s)
-            assert abs((v2 - value) - h * grad_mask[i, e]) < 1e-12
-
-    def test_mean_k_plugin(self, rng):
-        params = RouterParams(
-            w_g=Param(rng.standard_normal((4, 3))), g=Param(np.zeros(3))
-        )
-        tokens = rng.standard_normal((10, 4))
-        dec = route_top_any(tokens, params)
-        value, grad_mask = mean_k_efficiency_plugin(dec, dec.sig_s, params)
-        assert abs(value - dec.k.mean()) < 1e-12
-        np.testing.assert_allclose(grad_mask, 1.0 / 10.0)

@@ -20,8 +20,8 @@ from dynmoe.moe_layer import (
     moe_backward,
     moe_forward,
 )
-from dynmoe.numerics import ConfigurationError, Param, cosine_scores_batch, finite_diff_grad, sigmoid
-from dynmoe.router import RouterParams, route_top_any, route_top_any_backward
+from dynmoe.numerics import Param, cosine_scores_batch, finite_diff_grad, sigmoid
+from dynmoe.router import RouterParams, route_top_any
 from dynmoe.telemetry import PassStats
 
 from conftest import rel_err
@@ -144,53 +144,6 @@ class TestMoeForward:
         assert rel_err(out_perm, out) < 1e-12
 
 
-class TestMoeForwardWeighted:
-    def test_single_active_matches_mean_combine(self, rng):
-        layer = build_layer(rng)
-        tokens = rng.standard_normal((10, layer.d))
-        out_mean, dec = moe_forward(layer, tokens)
-        out_w, _ = moe_forward(layer, tokens, combine="weighted")
-        singles = dec.k == 1
-        assert np.any(singles)
-        assert rel_err(out_w[singles], out_mean[singles]) < 1e-12
-
-    def test_equal_scores_match_mean_combine(self, rng):
-        layer = build_layer(rng, n_experts=2)
-        layer.router.w_g.value[:, 1] = layer.router.w_g.value[:, 0]
-        tokens = rng.standard_normal((20, layer.d))
-        out_w, dec = moe_forward(layer, tokens, combine="weighted")
-        out_mean, _ = moe_forward(layer, tokens)
-        both = dec.k == 2
-        assert np.any(both)
-        assert rel_err(out_w[both], out_mean[both]) < 1e-12
-
-    def test_hand_renormalized_weights(self, rng):
-        # two activated experts with sig_s 0.8 and 0.6 combine as 4/7, 3/7
-        d, h = 4, 6
-        layer = build_layer(rng, d=d, h=h, n_experts=2)
-        tokens = rng.standard_normal((1, d))
-        out_w, dec = moe_forward(layer, tokens, combine="weighted")
-        if dec.k[0] == 2:
-            e_out = [layer.experts.forward(e, tokens)[0][0] for e in range(2)]
-            t = dec.sig_s[0]
-            want = (t[0] * e_out[0] + t[1] * e_out[1]) / (t[0] + t[1])
-            assert rel_err(out_w[0], want) < 1e-12
-        sig = np.array([0.8, 0.6])
-        w = sig / sig.sum()
-        assert abs(w[0] - 4.0 / 7.0) < 1e-12 and abs(w[1] - 3.0 / 7.0) < 1e-12
-
-    def test_cache_carries_the_combine(self, rng):
-        layer = build_layer(rng)
-        tokens = rng.standard_normal((6, layer.d))
-        for combine in ("mean", "weighted"):
-            assert moe_forward(layer, tokens, combine=combine)[1].expert_cache[0] == combine
-
-    def test_unknown_combine_rejected(self, rng):
-        layer = build_layer(rng)
-        with pytest.raises(ConfigurationError, match="combine"):
-            moe_forward(layer, rng.standard_normal((3, layer.d)), combine="median")
-
-
 class TestMoeBackward:
     def test_zero_upstream_zero_grads(self, rng):
         layer = build_layer(rng)
@@ -272,54 +225,6 @@ class TestMoeBackward:
         assert rel_err(layer.router.w_g.grad, ref_w) < 1e-10
         assert rel_err(layer.router.g.grad, ref_g) < 1e-10
 
-    def test_weighted_backward_smooth_path_matches_fd(self, rng):
-        # freeze the mask (thresholds play no smooth role) and check the
-        # sig_s-weighted combine against finite differences; the straight-
-        # through part is excluded from both sides by subtracting it
-        layer = build_layer(rng, d=4, h=4, n_experts=3)
-        tokens = rng.standard_normal((5, 4))
-        coeff = rng.standard_normal((5, 4))
-
-        out, dec = moe_forward(layer, tokens, combine="weighted")
-        moe_backward(layer, dec, tokens, coeff)
-        full_grad = layer.router.w_g.grad.copy()
-
-        # isolate the straight-through contribution
-        selected = dec.sig_s * dec.mask
-        totals = selected.sum(axis=1, keepdims=True)
-        inv_t = np.divide(1.0, totals, out=np.zeros_like(totals), where=totals > 0)
-        weights = selected * inv_t
-        e_outs = [layer.experts.forward(e, tokens)[0] for e in range(3)]
-        y = np.zeros_like(tokens)
-        for e in range(3):
-            y += e_outs[e] * weights[:, e, None]
-        d_t = np.stack(
-            [((e_outs[e] - y) * coeff).sum(axis=1) * inv_t[:, 0] for e in range(3)],
-            axis=1,
-        )
-        probe = RouterParams(
-            w_g=Param(layer.router.w_g.value.copy()),
-            g=Param(layer.router.g.value.copy()),
-        )
-        route_top_any_backward(dec, d_t * dec.sig_s, tokens, probe)
-        ste_grad = probe.w_g.grad.copy()
-
-        def frozen_mask_objective(p):
-            from dynmoe.numerics import cosine_scores_batch, sigmoid
-
-            s = cosine_scores_batch(tokens, p.value)
-            sig = sigmoid(s)
-            sel = sig * dec.mask  # mask held fixed
-            tot = sel.sum(axis=1, keepdims=True)
-            wts = np.divide(sel, tot, out=np.zeros_like(sel), where=tot > 0)
-            y2 = np.zeros_like(tokens)
-            for e in range(3):
-                y2 += e_outs[e] * wts[:, e, None]
-            return float((coeff * y2).sum())
-
-        fd = finite_diff_grad(frozen_mask_objective, Param(layer.router.w_g.value.copy()), eps=1e-6)
-        assert rel_err(full_grad - ste_grad, fd) < 1e-5
-
     def test_stale_decision_rejected(self, rng):
         from dynmoe.numerics import DimensionError
 
@@ -330,20 +235,24 @@ class TestMoeBackward:
             moe_backward(layer, dec, tokens, np.zeros((3, layer.d)))
 
 
-def surrogate_objective(layer, tokens, coeff, dec0, weighted):
-    """sum(coeff * y) with the binary mask replaced by its straight-through
+def surrogate_output(layer, tokens, dec0):
+    """The layer output y with the binary mask replaced by its straight-through
     surrogate mask0 + (sig_s - sig_g) - (sig_s0 - sig_g0): equal to the mask
     at the forward point, with the derivative the backward assigns to it.
     Rows that activated nothing at the forward point stay at y = 0."""
     sig_s = sigmoid(cosine_scores_batch(tokens, layer.router.w_g.value))
     m = dec0.mask + (sig_s - sigmoid(layer.router.g.value)) - (dec0.sig_s - dec0.sig_g)
-    t = sig_s * m if weighted else m
     outs = np.stack([layer.experts.forward(e, tokens)[0] for e in range(layer.n_experts)],
                     axis=1)  # (N, K, d)
     served = dec0.k > 0
     y = np.zeros_like(tokens)
-    y[served] = (t[served, :, None] * outs[served]).sum(axis=1) / t[served].sum(axis=1)[:, None]
-    return float((coeff * y).sum())
+    y[served] = (m[served, :, None] * outs[served]).sum(axis=1) / m[served].sum(axis=1)[:, None]
+    return y
+
+
+def surrogate_objective(layer, tokens, coeff, dec0):
+    """sum(coeff * y) for the :func:`surrogate_output` y."""
+    return float((coeff * surrogate_output(layer, tokens, dec0)).sum())
 
 
 def edge_batch_layer(rng, state):
@@ -365,23 +274,21 @@ def edge_batch_layer(rng, state):
 
 
 class TestLayerBackwardEdgeStates:
-    """Every gradient of both combines against the central-difference oracle
+    """Every gradient of the layer against the central-difference oracle
     on the straight-through surrogate, in the states the pair-wise dispatch
     special-cases."""
 
     @pytest.mark.parametrize("state", ["fresh", "post_adapt"])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_all_grads_match_surrogate_fd(self, rng, state, weighted):
+    def test_all_grads_match_surrogate_fd(self, rng, state):
         layer, tokens = edge_batch_layer(rng, state)
         coeff = rng.standard_normal(tokens.shape)
-        # the backward takes the combine from the forward's cache
-        _, dec = moe_forward(layer, tokens, combine="weighted" if weighted else "mean")
+        _, dec = moe_forward(layer, tokens)
         assert np.any(dec.k == 0) and np.any(dec.k == 1) and np.any(dec.k == 2)
         assert np.any(dec.mask.sum(axis=0) == 0)
         d_tokens = moe_backward(layer, dec, tokens, coeff)
 
         def objective(_):
-            return surrogate_objective(layer, tokens, coeff, dec, weighted)
+            return surrogate_objective(layer, tokens, coeff, dec)
 
         for i, p in enumerate(layer.params()):
             fd = finite_diff_grad(objective, p, eps=1e-6)
@@ -389,17 +296,16 @@ class TestLayerBackwardEdgeStates:
 
         x = Param(tokens.copy())
         fd_x = finite_diff_grad(
-            lambda q: surrogate_objective(layer, q.value, coeff, dec, weighted), x, eps=1e-6
+            lambda q: surrogate_objective(layer, q.value, coeff, dec), x, eps=1e-6
         )
         assert rel_err(d_tokens, fd_x) < 1e-5
 
 
 class TestBackwardNeedsCache:
-    @pytest.mark.parametrize("combine", ["mean", "weighted"])
-    def test_eval_decision_rejected(self, rng, combine):
+    def test_eval_decision_rejected(self, rng):
         layer = build_layer(rng)
         tokens = rng.standard_normal((6, layer.d))
-        _, dec = moe_forward(layer, tokens, mode="eval", combine=combine)
+        _, dec = moe_forward(layer, tokens, mode="eval")
         assert dec.expert_cache is None
         with pytest.raises(ValueError, match="no expert cache"):
             moe_backward(layer, dec, tokens, np.ones_like(tokens))

@@ -28,13 +28,9 @@ from pathlib import Path
 # the subcommand.
 RUNS = (
     ("default", {}, ["train"]),
-    ("weighted", {}, ["train", "--combine", "weighted"]),
-    *((f"init_{s}", {}, ["train", "--init-strategy", s, "--seed", "2", "--max-experts", "6"])
-      for s in ("paper_rs", "average", "w_average", "most_activated")),
+    ("adapt_seed2", {}, ["train", "--seed", "2", "--max-experts", "6"]),
     ("topk", {"router": {"kind": "topk", "n_experts": 4, "top_k": 2}}, ["train"]),
-    ("two_layers_gshard", {"train": {"n_layers": 2},
-                           "plugins": [{"name": "gshard_balance", "weight": 0.1}]}, ["train"]),
-    ("sgd", {"train": {"optimizer": {"kind": "sgd"}}}, ["train"]),
+    ("two_layers", {"train": {"n_layers": 2}}, ["train"]),
     ("baseline", {}, ["baseline", "--K", "3", "--k", "2"]),
     ("sweep", {}, ["sweep"]),
 )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynmoe.adaptive import AdaptConfig, adapt, record
+from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_forward
 from dynmoe.numerics import ConfigurationError
 from dynmoe.router import route_top_any
@@ -224,6 +225,29 @@ class TestInitNewExpert:
         for p, q, old in zip(layer.experts.params(), fresh.params(), kept):
             np.testing.assert_array_equal(p.value[:2], old)
             np.testing.assert_array_equal(p.value[2], q.value[0])
+
+    def test_unknown_strategy_rejected(self):
+        # r_s / |r_s| with a fresh MLP is the only init: a config that names
+        # another strategy is refused rather than run with this one
+        for strategy in ("paper_rs", "average"):
+            with pytest.raises(ConfigError, match=r"unknown key.*adapt\.init_strategy"):
+                parse_config_doc({"adapt": {"init_strategy": strategy}})
+
+    def test_empty_expert_list_rejected(self, rng):
+        # adapt never empties the bank it appends the new expert to: a
+        # min_experts of 0 is refused, and with every expert unused the
+        # default keeps the lowest-index one
+        with pytest.raises(ConfigurationError, match="min_experts"):
+            AdaptConfig(min_experts=0)
+        layer = build_layer(rng, n_experts=3)
+        layer.record.start()
+        layer.record.r_s[:] = rng.standard_normal(layer.d)
+        kept = [p.value[0].copy() for p in layer.experts.params()]
+        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        assert report.clamped and report.removed_experts == [1, 2] and report.added
+        assert layer.n_experts == 2
+        for p, old in zip(layer.experts.params(), kept):
+            np.testing.assert_array_equal(p.value[0], old)
 
 
 class TestAdaptConfig:

@@ -271,9 +271,9 @@ class TestCli:
         doc = json.loads((out / "checkpoint.final").read_text())
         assert doc["kind"] == "topk"
 
-    def test_every_flag_reaches_the_snapshot(self, tmp_path):
-        # the file sets router.kind to topk, so --router dynmoe shows up
-        # only if the flag is applied
+    def test_weighted_combine_flag(self, tmp_path):
+        # every flag must reach config.snapshot; the file sets router.kind
+        # to topk, so --router dynmoe shows up only if the flag is applied
         cfg = write_config(tmp_path / "c.json", router={"kind": "topk", "n_experts": 3, "top_k": 1})
         train_flags = {"seed": 4, "aux_weight": 0.5, "max_experts": 5, "check_interval": 30,
                        "router": "dynmoe"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dynmoe import harness
 from dynmoe.adaptive import AdaptConfig, adapt
-from dynmoe.config import parse_config_doc
+from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.harness import (
     Adam,
     MoeClassifier,
@@ -342,6 +342,14 @@ class TestOptimizers:
         b.replace(np.ones((3, 2)))  # a new shape without an optimizer resize
         with pytest.raises(ValueError):
             opt.step([a, b])
+
+    def test_unknown_kind_rejected(self):
+        # Adam is the only optimizer: a config that asks for another one is
+        # refused rather than trained with Adam
+        for kind in ("sgd", "rmsprop"):
+            with pytest.raises(ConfigError, match=r"unknown key.*train\.optimizer\.kind"):
+                parse_config_doc({"train": {"optimizer": {"kind": kind}}})
+        assert type(make_optimizer(TrainConfig())) is Adam
 
 
 class TestFlatAdamMatchesReference:

@@ -276,23 +276,30 @@ def edge_batch_layer(rng, state):
 class TestLayerBackwardEdgeStates:
     """Every gradient of the layer against the central-difference oracle
     on the straight-through surrogate, in the states the pair-wise dispatch
-    special-cases."""
+    special-cases. With ``accumulate`` the grads already hold another term
+    (train_step adds the auxiliary-loss gradient to the router's), which the
+    backward must add to on every path, not overwrite."""
 
     @pytest.mark.parametrize("state", ["fresh", "post_adapt"])
-    def test_all_grads_match_surrogate_fd(self, rng, state):
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_all_grads_match_surrogate_fd(self, rng, state, accumulate):
         layer, tokens = edge_batch_layer(rng, state)
         coeff = rng.standard_normal(tokens.shape)
         _, dec = moe_forward(layer, tokens)
         assert np.any(dec.k == 0) and np.any(dec.k == 1) and np.any(dec.k == 2)
         assert np.any(dec.mask.sum(axis=0) == 0)
+        prior = [rng.standard_normal(p.grad.shape) if accumulate else np.zeros(p.grad.shape)
+                 for p in layer.params()]
+        for p, g in zip(layer.params(), prior):
+            p.grad[...] = g
         d_tokens = moe_backward(layer, dec, tokens, coeff)
 
         def objective(_):
             return surrogate_objective(layer, tokens, coeff, dec)
 
-        for i, p in enumerate(layer.params()):
+        for i, (p, g) in enumerate(zip(layer.params(), prior)):
             fd = finite_diff_grad(objective, p, eps=1e-6)
-            assert rel_err(p.grad, fd) < 1e-5, (i, p.name)
+            assert rel_err(p.grad - g, fd) < 1e-5, (i, p.name)
 
         x = Param(tokens.copy())
         fd_x = finite_diff_grad(

@@ -25,9 +25,11 @@ from .router import (
     GatingDecision,
     RouterParams,
     TopKDecision,
+    TopKRouter,
     route_eval,
     route_top_any,
     route_top_any_backward,
+    route_top_k_backward,
     route_top_k_baseline,
 )
 
@@ -47,6 +49,7 @@ __all__ = [
     "RouterParams",
     "RoutingRecord",
     "TopKDecision",
+    "TopKRouter",
     "adapt",
     "cosine_scores_batch",
     "diversity_simplicity_loss",
@@ -57,6 +60,7 @@ __all__ = [
     "route_eval",
     "route_top_any",
     "route_top_any_backward",
+    "route_top_k_backward",
     "route_top_k_baseline",
     "sigmoid",
 ]

@@ -161,6 +161,5 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
     rec.r_e = np.zeros(report.new_k_total, dtype=np.int64)
     rec.r_s = np.zeros_like(rec.r_s)
     rec.recording = False
-    layer.router.validate()
     layer.validate()
     return report

@@ -6,7 +6,7 @@ subspace. Tokens of one skill stay mutually close in cosine and tokens of
 different skills stay far, by construction, so the number of experts a
 router "should" discover is known ground truth.
 
-The model is deliberately small: tokens feed one or two residual MoE blocks
+The model is deliberately small: tokens feed one or two residual MoE layers
 and a linear softmax head. That is enough to exercise variable-k routing,
 the straight-through gradients, the auxiliary loss and the adaptive expert
 process end to end, with runs measured in seconds.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +25,16 @@ import numpy as np
 from .adaptive import AdaptConfig, adapt, record
 from .losses import AuxLossReport, diversity_simplicity_loss
 from .moe_layer import (
-    ExpertMlp,
+    LAYER_SCHEMA,
+    TOPK_LAYER_SCHEMA,
     MoeLayer,
-    _dispatch,
-    _pairs_backward,
-    experts_from_doc,
-    experts_to_doc,
     layer_from_doc,
     layer_to_doc,
     moe_backward,
     moe_forward,
 )
 from .numerics import ConfigurationError, DivergenceError, Param
-from .router import route_top_k_backward, route_top_k_baseline
+from .router import RouterParams, TopKRouter
 from .telemetry import (
     MetricsLog,
     PassStats,
@@ -47,7 +45,11 @@ from .telemetry import (
 MODEL_SCHEMA = "dynmoe-model/1"
 # DynMoE checkpoints name their combine; the mean is the only one there is.
 CHECKPOINT_COMBINE = "mean"
-TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
+# The model-level fields of a checkpoint, by the schema of its layers.
+MODEL_FIELDS = {
+    LAYER_SCHEMA: {"kind": "dynmoe", "combine": CHECKPOINT_COMBINE},
+    TOPK_LAYER_SCHEMA: {"kind": "topk"},
+}
 
 # gen_task builds tokens this many rows at a time (the rows do not depend on
 # it), and lets the exact projection decide a draw this close to a decision.
@@ -335,104 +337,30 @@ def make_optimizer(cfg: "TrainConfig") -> Adam:
 
 # --- model -------------------------------------------------------------------
 
-class DynMoeBlock:
-    """Residual block around one adaptive-routing MoE layer."""
-
-    def __init__(self, layer: MoeLayer):
-        self.layer = layer
-
-    def forward(self, x, mode):
-        out, decision = moe_forward(self.layer, x, mode)
-        return x + out, (x, decision)
-
-    def backward(self, cache, d_out):
-        x, decision = cache
-        return d_out + moe_backward(self.layer, decision, x, d_out)
-
-    def params(self):
-        return self.layer.params()
-
-    @property
-    def n_experts(self):
-        return self.layer.n_experts
-
-
-class TopKMoeBlock:
-    """Residual block around a fixed top-k softmax-routed MoE layer.
-
-    Experts run pair-wise, as in the DynMoE layer: each on the tokens that
-    selected it. The selection set is held fixed in the backward, so no
-    unselected pair is ever computed.
-    """
-
-    def __init__(self, w_g: Param, experts: ExpertMlp, top_k: int, d: int, h: int):
-        self.w_g = w_g
-        self.experts = experts
-        self.top_k = top_k
-        self.d = d
-        self.h = h
-
-    @classmethod
-    def random(cls, d, h, n_experts, top_k, rng):
-        if not 1 <= top_k <= n_experts:
-            raise ConfigurationError(f"top_k {top_k} not in [1, {n_experts}]")
-        w_g = Param(rng.standard_normal((d, n_experts)) / math.sqrt(d), name="w_g")
-        return cls(w_g=w_g, experts=ExpertMlp.random(d, h, n_experts, rng), top_k=top_k, d=d, h=h)
-
-    def forward(self, x, mode):
-        decision = route_top_k_baseline(x, self.w_g, self.top_k)
-        y, pairs = _dispatch(self.experts, x, decision.mask, decision.weights,
-                             keep_cache=mode == "train")
-        return x + y, (x, decision, pairs)
-
-    def backward(self, cache, d_out):
-        x, decision, pairs = cache
-        d_expert, d_weights = _pairs_backward(self.experts, pairs, d_out, decision.weights)
-        # d_weights is zero off the selected pairs; the router backward masks them anyway.
-        return d_out + d_expert + route_top_k_backward(decision, d_weights, x, self.w_g)
-
-    def params(self):
-        return [self.w_g, *self.experts.params()]
-
-    @property
-    def n_experts(self):
-        return self.experts.n_experts
-
-
 class MoeClassifier:
-    """Token -> residual MoE block(s) -> linear softmax head."""
+    """Token -> residual MoE layer(s) -> linear softmax head."""
 
-    def __init__(self, blocks, w_out: Param, b_out: Param):
-        self.blocks = blocks
+    def __init__(self, layers: list[MoeLayer], w_out: Param, b_out: Param):
+        self.layers = layers
         self.w_out = w_out
         self.b_out = b_out
 
     @classmethod
-    def build_dynmoe(cls, d, cfg: "TrainConfig", rng) -> "MoeClassifier":
-        blocks = [DynMoeBlock(MoeLayer.random(d, cfg.hidden, cfg.init_experts, rng))
-                  for _ in range(cfg.n_layers)]
+    def random(cls, cfg: "TrainConfig", new_router, rng) -> "MoeClassifier":
+        """``cfg.n_layers`` layers, each a router ``new_router(rng)`` and its
+        random experts, then the head, all drawn from ``rng`` in that order."""
+        layers = [MoeLayer.around(new_router(rng), cfg.hidden, rng) for _ in range(cfg.n_layers)]
+        d = layers[0].d
         head = Param(rng.standard_normal((d, cfg.n_classes)) / math.sqrt(d), name="w_out")
-        return cls(blocks, head, Param(np.zeros(cfg.n_classes), name="b_out"))
-
-    @classmethod
-    def build_topk(cls, d, cfg: "TrainConfig", n_experts: int, top_k: int, rng) -> "MoeClassifier":
-        blocks = [
-            TopKMoeBlock.random(d, cfg.hidden, n_experts, top_k, rng)
-            for _ in range(cfg.n_layers)
-        ]
-        head = Param(rng.standard_normal((d, cfg.n_classes)) / math.sqrt(d), name="w_out")
-        return cls(blocks, head, Param(np.zeros(cfg.n_classes), name="b_out"))
-
-    @property
-    def kind(self) -> str:
-        return "dynmoe" if isinstance(self.blocks[0], DynMoeBlock) else "topk"
+        return cls(layers, head, Param(np.zeros(cfg.n_classes), name="b_out"))
 
     def forward(self, tokens, mode="train"):
         h = np.asarray(tokens, dtype=np.float64)
         caches = []
-        for block in self.blocks:
-            h, cache = block.forward(h, mode)
-            caches.append(cache)
+        for layer in self.layers:
+            out, decision = moe_forward(layer, h, mode)
+            caches.append((h, decision))
+            h = h + out
         logits = h @ self.w_out.value + self.b_out.value
         return logits, caches, h
 
@@ -440,14 +368,14 @@ class MoeClassifier:
         self.w_out.accumulate(h_final.T @ d_logits)
         self.b_out.accumulate(np.add.reduce(d_logits, axis=0))
         dh = d_logits @ self.w_out.value.T
-        for block, cache in zip(reversed(self.blocks), reversed(caches)):
-            dh = block.backward(cache, dh)
+        for layer, (x, decision) in zip(reversed(self.layers), reversed(caches)):
+            dh = dh + moe_backward(layer, decision, x, dh)
         return dh
 
     def params(self):
         out = [self.w_out, self.b_out]
-        for block in self.blocks:
-            out.extend(block.params())
+        for layer in self.layers:
+            out.extend(layer.params())
         return out
 
     def zero_grad(self):
@@ -455,7 +383,13 @@ class MoeClassifier:
             p.zero_grad()
 
     def expert_counts(self) -> tuple[int, ...]:
-        return tuple(block.n_experts for block in self.blocks)
+        return tuple(layer.n_experts for layer in self.layers)
+
+
+def _top_any(layer: MoeLayer) -> bool:
+    """Whether the layer routes top-any: only then does it have thresholds,
+    an auxiliary loss and a routing record, and adapt."""
+    return isinstance(layer.router, RouterParams)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -538,23 +472,19 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt) -> StepStats:
     accuracy = _accuracy(logits, labels)
     model.backward(caches, h_final, d_logits)
 
+    k_values, aux = [], []
+    for layer, (x_in, decision) in zip(model.layers, caches):
+        k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
+        if _top_any(layer):
+            aux.append(diversity_simplicity_loss(layer.router.w_g, weight=cfg.aux_loss_weight))
+            if layer.record.recording:
+                record(layer.record, decision, x_in)
     aux_report = None
-    k_values = []
-    if model.kind == "dynmoe":
-        diversity = simplicity = 0.0
-        for block, cache in zip(model.blocks, caches):
-            x_in, decision = cache
-            k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
-            rep = diversity_simplicity_loss(block.layer.router.w_g, weight=cfg.aux_loss_weight)
-            diversity += rep.diversity
-            simplicity += rep.simplicity
-            if block.layer.record.recording:
-                record(block.layer.record, decision, x_in)
+    if aux:
+        diversity = sum(rep.diversity for rep in aux)
+        simplicity = sum(rep.simplicity for rep in aux)
         aux_report = AuxLossReport(diversity=diversity, simplicity=simplicity,
                                    total=diversity + simplicity)
-    else:
-        for cache in caches:
-            k_values.append(float(np.add.reduce(cache[1].k) / len(cache[1].k)))
 
     opt.step(model.params())
     mean_k = float(np.add.reduce(k_values) / len(k_values))  # np.mean's order, not sum()'s
@@ -583,36 +513,27 @@ def evaluate(model: MoeClassifier, tokens, labels):
 
 def log_eval(metrics: MetricsLog, step: int, model: MoeClassifier, accuracy, stats):
     metrics.append(step, -1, "eval_accuracy", accuracy)
-    for li, (block, ps) in enumerate(zip(model.blocks, stats)):
+    for li, (layer, ps) in enumerate(zip(model.layers, stats)):
         metrics.append(step, li, "activation_frequency", ps.activation_frequency)
         metrics.append(step, li, "avg_top_k", ps.mean_top_k)
         metrics.append(step, li, "topk_frequency", ps.topk_frequency)
-        if isinstance(block, DynMoeBlock):
-            metrics.append(step, li, "gate_thresholds", gate_threshold_dump(block.layer.router))
-        metrics.append(step, li, "n_experts", float(block.n_experts))
+        if _top_any(layer):
+            metrics.append(step, li, "gate_thresholds", gate_threshold_dump(layer.router))
+        metrics.append(step, li, "n_experts", float(layer.n_experts))
 
 
 def activated_params_total(model: MoeClassifier, stats) -> float:
     """Mean parameters exercised per token: each layer's router (w_g, plus g
     under DynMoE) and its mean number of activated experts."""
     total = 0.0
-    for block, ps in zip(model.blocks, stats):
-        if isinstance(block, DynMoeBlock):
-            router = block.layer.d * block.n_experts + block.n_experts
-            per_expert = block.layer.experts.param_count()
-        else:
-            router = block.d * block.n_experts
-            per_expert = block.experts.param_count()
-        total += router + ps.mean_top_k * per_expert
+    for layer, ps in zip(model.layers, stats):
+        total += layer.router.param_count() + ps.mean_top_k * layer.experts.param_count()
     return total
 
 
 def similarity_snapshot(model: MoeClassifier):
-    snaps = []
-    for li, block in enumerate(model.blocks):
-        if isinstance(block, DynMoeBlock):
-            snaps.append({"layer": li, "matrix": expert_similarity_matrix(block.layer.router).tolist()})
-    return snaps
+    return [{"layer": li, "matrix": expert_similarity_matrix(layer.router).tolist()}
+            for li, layer in enumerate(model.layers) if _top_any(layer)]
 
 
 def split_task(task: SyntheticTask, cfg: TrainConfig):
@@ -623,7 +544,9 @@ def split_task(task: SyntheticTask, cfg: TrainConfig):
     return perm[n_eval:], perm[:n_eval]
 
 
-def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> RunResult:
+def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
+    rng = np.random.default_rng(cfg.seed)
+    model = MoeClassifier.random(cfg, new_router, rng)
     train_idx, eval_idx = split_task(task, cfg)
     eval_tokens, eval_labels = task.tokens[eval_idx], task.labels[eval_idx]
     opt = make_optimizer(cfg)
@@ -632,7 +555,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
     k_traj = [(0, model.expert_counts())]
     adapt_events: list[dict] = []
 
-    adapting = cfg.adapt is not None and model.kind == "dynmoe"
+    adapting = cfg.adapt is not None and _top_any(model.layers[0])
     if adapting:
         interval = cfg.adapt.check_interval
         start_pos = int(math.floor(cfg.adapt.record_window[0] * interval))
@@ -650,14 +573,13 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
         cursor += cfg.batch_size
 
         if adapting and step % interval == start_pos:
-            for block in model.blocks:
-                block.layer.record.start()
+            for layer in model.layers:
+                layer.record.start()
 
         last_stats = train_step(model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt)
 
-        if adapting and step % interval == end_pos - 1 and model.blocks[0].layer.record.recording:
-            for li, block in enumerate(model.blocks):
-                layer = block.layer
+        if adapting and step % interval == end_pos - 1 and model.layers[0].record.recording:
+            for li, layer in enumerate(model.layers):
                 prev_k = layer.n_experts
                 report = adapt(layer, layer.record, cfg.adapt, rng)
                 keep = [e for e in range(prev_k) if e not in report.removed_experts]
@@ -697,67 +619,33 @@ def _run(task: SyntheticTask, cfg: TrainConfig, model: MoeClassifier, rng) -> Ru
 
 def train_loop(task: SyntheticTask, cfg: TrainConfig) -> RunResult:
     """Train an adaptive-routing model on the task; deterministic per seed."""
-    rng = np.random.default_rng(cfg.seed)
-    model = MoeClassifier.build_dynmoe(task.d, cfg, rng)
-    return _run(task, cfg, model, rng)
+    return _run(task, cfg, partial(RouterParams.random, task.d, cfg.init_experts))
 
 
 def run_baseline(task: SyntheticTask, cfg: TrainConfig, n_experts: int, top_k: int) -> RunResult:
     """Same harness with a fixed softmax top-k router, for head-to-head tables."""
-    if not 1 <= top_k <= n_experts:
-        raise ConfigurationError(f"top_k {top_k} not in [1, {n_experts}]")
-    rng = np.random.default_rng(cfg.seed)
-    model = MoeClassifier.build_topk(task.d, cfg, n_experts, top_k, rng)
-    return _run(task, cfg, model, rng)
+    return _run(task, cfg, partial(TopKRouter.random, task.d, n_experts, top_k))
 
 
 # --- model checkpointing -----------------------------------------------------
 
-def _topk_block_to_doc(block: TopKMoeBlock) -> dict:
-    return {
-        "schema": TOPK_LAYER_SCHEMA,
-        "d": block.d,
-        "h": block.h,
-        "top_k": block.top_k,
-        "w_g": block.w_g.value.tolist(),
-        "experts": experts_to_doc(block.experts),
-    }
-
-
-def _topk_block_from_doc(doc: dict) -> TopKMoeBlock:
-    if doc.get("schema") != TOPK_LAYER_SCHEMA:
-        raise ValueError(f"unsupported top-k layer schema {doc.get('schema')!r}")
-    return TopKMoeBlock(
-        w_g=Param(np.array(doc["w_g"]), name="w_g"),
-        experts=experts_from_doc(doc["experts"]),
-        top_k=doc["top_k"],
-        d=doc["d"],
-        h=doc["h"],
-    )
-
-
 def model_to_doc(model: MoeClassifier) -> dict:
-    doc = {
+    layers = [layer_to_doc(layer) for layer in model.layers]
+    return {
         "schema": MODEL_SCHEMA,
-        "kind": model.kind,
+        **MODEL_FIELDS[layers[0]["schema"]],
         "head_w": model.w_out.value.tolist(),
         "head_b": model.b_out.value.tolist(),
-        "layers": [],
+        "layers": layers,
     }
-    for block in model.blocks:
-        if isinstance(block, DynMoeBlock):
-            doc["layers"].append(layer_to_doc(block.layer))
-            doc["combine"] = CHECKPOINT_COMBINE
-        else:
-            doc["layers"].append(_topk_block_to_doc(block))
-    return doc
 
 
 def model_from_doc(doc: dict) -> MoeClassifier:
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
     kind = doc["kind"]
-    if kind not in ("dynmoe", "topk"):
+    schemas = {fields["kind"]: schema for schema, fields in MODEL_FIELDS.items()}
+    if kind not in schemas:
         raise ValueError(f"unknown model kind {kind!r}")
     if doc.get("combine", CHECKPOINT_COMBINE) != CHECKPOINT_COMBINE:
         raise ValueError(f"unsupported combine {doc['combine']!r}, expected {CHECKPOINT_COMBINE!r}")
@@ -769,11 +657,12 @@ def model_from_doc(doc: dict) -> MoeClassifier:
     dims = [layer_doc["d"] for layer_doc in doc["layers"]]
     if any(d != head_w.shape[0] for d in dims):
         raise ValueError(f"layer dims {dims} do not match the {head_w.shape[0]} rows of head_w")
-    if kind == "dynmoe":
-        blocks = [DynMoeBlock(layer_from_doc(layer_doc)) for layer_doc in doc["layers"]]
-    else:
-        blocks = [_topk_block_from_doc(layer_doc) for layer_doc in doc["layers"]]
-    return MoeClassifier(blocks, Param(head_w, name="w_out"), Param(head_b, name="b_out"))
+    for layer_doc in doc["layers"]:
+        if layer_doc.get("schema") != schemas[kind]:
+            raise ValueError(f"unsupported layer schema {layer_doc.get('schema')!r} "
+                             f"in a {kind!r} model")
+    layers = [layer_from_doc(layer_doc) for layer_doc in doc["layers"]]
+    return MoeClassifier(layers, Param(head_w, name="w_out"), Param(head_b, name="b_out"))
 
 
 def save_model(model: MoeClassifier, path) -> None:

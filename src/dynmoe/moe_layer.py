@@ -1,27 +1,31 @@
 """Expert MLPs, pair-wise dispatch and combine, and the full layer backward.
 
-Forward: each token runs exactly the experts its mask activates and the
-layer output is their unweighted mean (tokens that activate nothing output
+One layer serves both routers (``router.RouterParams``, top-any, and
+``router.TopKRouter``, the softmax top-k baseline). Forward: the router
+gives a decision and combine weights, each token runs exactly the experts
+its mask activates, and the layer output is their weighted sum: the
+unweighted mean under top-any routing (tokens that activate nothing output
 the zero vector in training mode, which reads as identity pass-through
-under a residual connection). Dispatch is pair-wise: each expert runs once,
-on the rows that activate it. In training mode the combine weights, 1 / k
-and the outputs and expert caches of those activated pairs are kept on the
-decision, and the backward reuses them instead of computing the weights
-again or running any expert again on them.
+under a residual connection), the renormalized softmax scores under top-k.
+Dispatch is pair-wise: each expert runs once, on the rows that activate it.
+In training mode the combine weights and the outputs and expert caches of
+those activated pairs are kept on the decision, and the backward reuses them
+instead of computing the weights again or running any expert again on them.
 
-Backward composition, per token i with activation count k_i > 0 and
-upstream u_i = dL/dy_i:
+Backward composition, per token i with upstream u_i = dL/dy_i:
 
-    d expert_e output   = u_i * mask[i, e] / k_i          (activated pairs only)
-    d mask[i, e]        = <u_i, E_e(x_i) - y_i> / k_i     (straight-through seed)
-    d tokens            = expert input path + router cosine path
+    d expert_e output   = u_i * weights[i, e]           (activated pairs only)
+    dots[i, e]          = <u_i, E_e(x_i)>
+    d tokens            = expert input path + router path (from the dots)
 
-The mask gradient treats the combine as sum_e m_e E_e / sum_e m_e, the
-smooth extension that coincides with the mean over activated experts on
-binary masks; it is then fed through the router's straight-through rule.
-It is the one place that needs E_e(x_i) on pairs that were not activated:
-the backward gets those from a forward-only pass over the non-activated
-rows of tokens with k_i > 0 (rows with k_i = 0 have a zero seed).
+The top-any router turns the dots into its straight-through mask seed
+<u_i, E_e(x_i) - y_i> / k_i, which treats the combine as
+sum_e m_e E_e / sum_e m_e, the smooth extension that coincides with the mean
+over activated experts on binary masks. It is the one place that needs
+E_e(x_i) on pairs that were not activated: the backward gets those from a
+forward-only pass over the pairs the router names (the non-activated experts
+of tokens with k_i > 0). The top-k router holds its selection fixed and
+needs the dots of the selected pairs only.
 """
 
 from __future__ import annotations
@@ -34,18 +38,17 @@ from scipy.special import erf
 
 from .adaptive import RoutingRecord
 from .numerics import DimensionError, Param
-from .router import (
-    GatingDecision,
-    RouterParams,
-    route_eval,
-    route_top_any,
-    route_top_any_backward,
-)
+from .router import GatingDecision, RouterParams, TopKDecision, TopKRouter
+
+# bench/tracing.py wraps the top-any routing functions under these names; they
+# stay here until its table follows them into the routers' methods.
+from .router import route_eval, route_top_any, route_top_any_backward  # noqa: F401
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_SCHEMA = "dynmoe-layer/1"
+TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
 EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
@@ -129,9 +132,9 @@ class ExpertMlp:
 @dataclass(eq=False)
 class MoeLayer:
     """Router, experts and routing record; the unit the adaptive process
-    resizes."""
+    resizes. Only a top-any router records and adapts."""
 
-    router: RouterParams
+    router: RouterParams | TopKRouter
     experts: ExpertMlp
     record: RoutingRecord
     d: int
@@ -141,6 +144,7 @@ class MoeLayer:
         self.validate()
 
     def validate(self) -> None:
+        self.router.validate()
         k = self.router.n_experts
         if self.experts.n_experts != k:
             raise DimensionError(
@@ -162,21 +166,24 @@ class MoeLayer:
 
     @classmethod
     def random(cls, dim: int, hidden: int, n_experts: int, rng: np.random.Generator) -> "MoeLayer":
-        return cls(
-            router=RouterParams.random(dim, n_experts, rng),
-            experts=ExpertMlp.random(dim, hidden, n_experts, rng),
-            record=RoutingRecord.fresh(n_experts, dim),
-            d=dim,
-            h=hidden,
-        )
+        """A top-any layer: a random router, then random experts."""
+        return cls.around(RouterParams.random(dim, n_experts, rng), hidden, rng)
+
+    @classmethod
+    def around(cls, router: RouterParams | TopKRouter, hidden: int,
+               rng: np.random.Generator) -> "MoeLayer":
+        """``router`` and one random expert per router column, drawn from ``rng``."""
+        d, k = router.dim, router.n_experts
+        return cls(router=router, experts=ExpertMlp.random(d, hidden, k, rng),
+                   record=RoutingRecord.fresh(k, d), d=d, h=hidden)
 
     def params(self) -> list[Param]:
-        return [self.router.w_g, self.router.g, *self.experts.params()]
+        return [*self.router.params(), *self.experts.params()]
 
     def expert_indexed(self) -> list[tuple[Param, int]]:
         """Every tensor with an expert axis, paired with that axis: the
-        router's ``w_g`` columns and ``g``, then the expert tensors."""
-        return [(self.router.w_g, 1), (self.router.g, 0)] + [(p, 0) for p in self.experts.params()]
+        router's (``w_g`` columns, and ``g``), then the expert tensors."""
+        return self.router.expert_indexed() + [(p, 0) for p in self.experts.params()]
 
 
 def _dispatch(
@@ -243,40 +250,31 @@ def _pairs_backward(
     return d_tokens, dots
 
 
-def _combine_weights(decision: GatingDecision) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-combine weights mask / k and the per-token 1 / k (0 where k = 0)."""
-    mask = decision.mask
-    totals = np.add.reduce(mask, axis=1)
-    inv_t = np.divide(1.0, totals, out=np.zeros(totals.shape), where=totals > 0.0)
-    return mask * inv_t[:, None], inv_t
-
-
 def moe_forward(
     layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
-) -> tuple[np.ndarray, GatingDecision]:
-    """Route tokens and return the unweighted mean of their activated
+) -> tuple[np.ndarray, GatingDecision | TopKDecision]:
+    """Route tokens and return the router-weighted sum of their activated
     experts' outputs.
 
-    ``mode="train"`` permits k = 0 rows (their output is the zero vector)
-    and caches the activated pairs, the combine weights and 1 / k on the
-    decision for :func:`moe_backward`; ``mode="eval"`` falls back to top-1
-    so every token runs at least one expert, and keeps no cache.
+    ``mode="train"`` caches the activated pairs and the combine weights on
+    the decision for :func:`moe_backward`; ``mode="eval"`` keeps no cache,
+    and a top-any router falls back to top-1 so every token runs at least
+    one expert (in training mode its k = 0 rows output the zero vector).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
-    decision = route_top_any(tokens, layer.router) if mode == "train" else route_eval(tokens, layer.router)
-    weights, inv_t = _combine_weights(decision)
+    decision, weights = layer.router.route(tokens, mode)
     out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")
     if pairs is not None:
-        decision.expert_cache = (pairs, weights, inv_t)
+        decision.expert_cache = (pairs, weights)
     return out, decision
 
 
 def moe_backward(
     layer: MoeLayer,
-    decision: GatingDecision,
+    decision: GatingDecision | TopKDecision,
     tokens: np.ndarray,
     upstream: np.ndarray,
 ) -> np.ndarray:
@@ -285,12 +283,12 @@ def moe_backward(
     ``decision`` must come from a train-mode :func:`moe_forward` on
     ``tokens``: it carries the combine weights and the cached activated
     pairs, and without them (eval-mode or bare router decisions) this raises
-    ``ValueError``. The eval fallback would also break the mask/threshold
-    relation the straight-through rule relies on. Expert weight gradients
-    flow through the cached activated pairs scaled by 1 / k. The mask
-    gradient also needs the outputs of non-activated experts on tokens with
-    k > 0; those come from one forward-only pass per expert over exactly
-    those rows.
+    ``ValueError``. The top-any eval fallback would also break the
+    mask/threshold relation the straight-through rule relies on. Expert
+    weight gradients flow through the cached activated pairs scaled by their
+    combine weights. The router also gets the dots of the pairs it names in
+    ``unactivated_pairs``, from one forward-only pass per expert over
+    exactly those rows.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -302,18 +300,16 @@ def moe_backward(
     if decision.mask.shape[1] != layer.n_experts:
         raise DimensionError("decision does not match the layer's current expert count")
 
-    pairs, weights, inv_t = _require_cache(decision.expert_cache)
+    pairs, weights = _require_cache(decision.expert_cache)
     d_tokens, dots = _pairs_backward(layer.experts, pairs, upstream, weights)
-    # The mask seed <u_i, E_e(x_i) - y_i> / k_i also needs the outputs of
-    # experts a token did not activate; rows with k_i = 0 have a zero seed.
-    off = (inv_t > 0.0)[:, None] & (decision.mask == 0.0)
-    for e in range(layer.n_experts):
-        idx = off[:, e].nonzero()[0]
-        if idx.size:
-            out_e = layer.experts.forward(e, tokens[idx])[0]
-            dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
-    d_mask = (dots - np.add.reduce(weights * dots, axis=1, keepdims=True)) * inv_t[:, None]
-    d_tokens += route_top_any_backward(decision, d_mask, tokens, layer.router)
+    off = layer.router.unactivated_pairs(decision)
+    if off is not None:
+        for e in range(layer.n_experts):
+            idx = off[:, e].nonzero()[0]
+            if idx.size:
+                out_e = layer.experts.forward(e, tokens[idx])[0]
+                dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
+    d_tokens += layer.router.backward(decision, weights, dots, tokens)
     return d_tokens
 
 
@@ -329,23 +325,29 @@ def experts_from_doc(docs: list[dict]) -> ExpertMlp:
 
 
 def layer_to_doc(layer: MoeLayer) -> dict:
-    return {
-        "schema": LAYER_SCHEMA,
-        "d": layer.d,
-        "h": layer.h,
-        "n_experts": layer.n_experts,
-        "w_g": layer.router.w_g.value.tolist(),
-        "g": layer.router.g.value.tolist(),
-        "experts": experts_to_doc(layer.experts),
-    }
+    """Checkpoint form of a layer: ``LAYER_SCHEMA`` for a top-any router,
+    ``TOPK_LAYER_SCHEMA`` for a top-k one."""
+    router = layer.router
+    doc = {"d": layer.d, "h": layer.h, "w_g": router.w_g.value.tolist(),
+           "experts": experts_to_doc(layer.experts)}
+    if isinstance(router, TopKRouter):
+        doc.update(schema=TOPK_LAYER_SCHEMA, top_k=router.top_k)
+    else:
+        doc.update(schema=LAYER_SCHEMA, n_experts=layer.n_experts, g=router.g.value.tolist())
+    return doc
 
 
 def layer_from_doc(doc: dict) -> MoeLayer:
-    if doc.get("schema") != LAYER_SCHEMA:
-        raise ValueError(f"unsupported layer schema {doc.get('schema')!r}")
+    """The layer ``layer_to_doc`` wrote, checked by ``MoeLayer.validate``."""
+    schema = doc.get("schema")
+    if schema not in (LAYER_SCHEMA, TOPK_LAYER_SCHEMA):
+        raise ValueError(f"unsupported layer schema {schema!r}")
+    w_g = Param(np.array(doc["w_g"]), name="w_g")
+    if schema == LAYER_SCHEMA:
+        router = RouterParams(w_g=w_g, g=Param(np.array(doc["g"]), name="g"))
+    else:
+        router = TopKRouter(w_g=w_g, top_k=doc["top_k"])
     experts = experts_from_doc(doc["experts"])
-    router = RouterParams(w_g=Param(np.array(doc["w_g"]), name="w_g"),
-                          g=Param(np.array(doc["g"]), name="g"))
     return MoeLayer(
         router=router,
         experts=experts,
@@ -353,4 +355,3 @@ def layer_from_doc(doc: dict) -> MoeLayer:
         d=doc["d"],
         h=doc["h"],
     )
-

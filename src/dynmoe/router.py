@@ -5,8 +5,14 @@ that expert's squashed trainable threshold, so different tokens may activate
 different numbers of experts, including none. The activation decision is a
 step function; training treats the binary mask as if it were the smooth
 quantity sigmoid(s) - sigmoid(g) and chains from there ("straight-through").
-A fixed-cardinality softmax top-k router is provided as the conventional
-baseline.
+A fixed-cardinality softmax top-k router (GShard, Lepikhin et al., arXiv
+2006.16668) is provided as the conventional baseline.
+
+Both routers give an MoE layer the same three things: ``route(tokens, mode)``,
+the decision and the combine weights; ``unactivated_pairs(decision)``, the
+token-expert pairs outside the decision whose expert outputs the backward
+needs; and ``backward(decision, weights, dots, tokens)``, which takes
+``dots[i, e] = <dL/dy_i, E_e(x_i)>`` and returns the router's token gradient.
 
 Chain rule used by the straight-through backward, for token i and expert e
 with up = dL/dmask:
@@ -19,6 +25,7 @@ with up = dL/dmask:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +67,7 @@ class RouterParams:
             )
         if self.n_experts < 1:
             raise ConfigurationError("router needs at least one expert")
-        if np.any(np.linalg.norm(self.w_g.value, axis=0) == 0.0):
+        if not vector_norm(self.w_g.value, axis=0).all():
             raise ConfigurationError("every expert representation column must be nonzero")
 
     @property
@@ -82,6 +89,34 @@ class RouterParams:
         cols /= np.linalg.norm(cols, axis=0, keepdims=True)
         return cls(w_g=Param(cols, name="w_g"), g=Param(np.zeros(n_experts), name="g"))
 
+    def params(self) -> list[Param]:
+        return [self.w_g, self.g]
+
+    def expert_indexed(self) -> list[tuple[Param, int]]:
+        return [(self.w_g, 1), (self.g, 0)]
+
+    def param_count(self) -> int:
+        return self.w_g.value.size + self.g.value.size
+
+    def route(self, tokens: np.ndarray, mode: str) -> tuple[GatingDecision, np.ndarray]:
+        """Top-any routing (with the top-1 fallback in eval mode) and the
+        mean-combine weights mask / k."""
+        decision = route_top_any(tokens, self) if mode == "train" else route_eval(tokens, self)
+        return decision, decision.mask * _inverse_k(decision)[:, None]
+
+    def unactivated_pairs(self, decision: GatingDecision) -> np.ndarray:
+        """The straight-through mask seed <u_i, E_e(x_i) - y_i> / k_i needs the
+        experts a token did not activate too; rows with k_i = 0 have a zero
+        seed."""
+        return (decision.k > 0)[:, None] & (decision.mask == 0.0)
+
+    def backward(self, decision, weights, dots, tokens) -> np.ndarray:
+        """The mask gradient of the mean combine, read as sum_e m_e E_e / sum_e
+        m_e, fed through the straight-through rule."""
+        d_mask = dots - np.add.reduce(weights * dots, axis=1, keepdims=True)
+        d_mask *= _inverse_k(decision)[:, None]
+        return route_top_any_backward(decision, d_mask, tokens, self)
+
 
 @dataclass
 class GatingDecision:
@@ -92,9 +127,8 @@ class GatingDecision:
     scores, ``sig_s``/``sig_g`` their squashed forms. ``k`` may be zero in
     training mode. ``expert_cache`` holds, for each expert some token
     activates, its index, the activated rows, their outputs and the expert's
-    forward cache; then the combine weights and the per-token 1 / k. A
-    train-mode layer forward fills it for the layer backward, and it stays
-    ``None`` everywhere else.
+    forward cache; then the combine weights. A train-mode layer forward
+    fills it for the layer backward, and it stays ``None`` everywhere else.
     """
 
     mask: np.ndarray   # (N, K) entries in {0.0, 1.0}
@@ -102,15 +136,13 @@ class GatingDecision:
     s: np.ndarray      # (N, K)
     sig_s: np.ndarray  # (N, K)
     sig_g: np.ndarray  # (K,)
-    expert_cache: tuple[list, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    expert_cache: tuple[list, np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def n_tokens(self) -> int:
-        return self.mask.shape[0]
 
-    @property
-    def n_experts(self) -> int:
-        return self.mask.shape[1]
+def _inverse_k(decision: GatingDecision) -> np.ndarray:
+    """Per-token 1 / k, 0 where k = 0."""
+    k = decision.k
+    return np.divide(1.0, k, out=np.zeros(k.shape), where=k > 0)
 
 
 def route_top_any(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
@@ -184,21 +216,15 @@ class TopKDecision:
     """Fixed-cardinality routing outcome, including combine weights.
 
     ``weights`` are the selected softmax scores renormalized to sum to one
-    per token; unselected entries are zero.
+    per token; unselected entries are zero. ``expert_cache`` is filled as on
+    :class:`GatingDecision`.
     """
 
     mask: np.ndarray     # (N, K) entries in {0.0, 1.0}
     k: np.ndarray        # (N,) int64, constant
     scores: np.ndarray   # (N, K) full softmax distribution
     weights: np.ndarray  # (N, K)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.mask.shape[1]
+    expert_cache: tuple[list, np.ndarray] | None = field(default=None, repr=False)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -258,3 +284,59 @@ def route_top_k_backward(
     dz = p * (dp - (dp * p).sum(axis=1, keepdims=True))
     w_g.accumulate(tokens.T @ dz)
     return dz @ w_g.value.T
+
+
+@dataclass(eq=False)
+class TopKRouter:
+    """Per-layer parameters of the softmax top-k baseline: a plain linear
+    router ``w_g`` (shape d x K), trained, and the fixed number ``top_k`` of
+    experts every token runs."""
+
+    w_g: Param
+    top_k: int
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        if self.w_g.value.ndim != 2:
+            raise DimensionError(f"w_g must be 2-d, got shape {self.w_g.shape}")
+        if type(self.top_k) is not int or not 1 <= self.top_k <= self.n_experts:
+            raise ConfigurationError(f"top_k {self.top_k!r} not in [1, {self.n_experts}]")
+
+    @property
+    def dim(self) -> int:
+        return self.w_g.value.shape[0]
+
+    @property
+    def n_experts(self) -> int:
+        return self.w_g.value.shape[1]
+
+    @classmethod
+    def random(cls, dim: int, n_experts: int, top_k: int, rng: np.random.Generator) -> "TopKRouter":
+        w_g = Param(rng.standard_normal((dim, n_experts)) / math.sqrt(dim), name="w_g")
+        return cls(w_g=w_g, top_k=top_k)
+
+    def params(self) -> list[Param]:
+        return [self.w_g]
+
+    def expert_indexed(self) -> list[tuple[Param, int]]:
+        return [(self.w_g, 1)]
+
+    def param_count(self) -> int:
+        return self.w_g.value.size
+
+    def route(self, tokens: np.ndarray, mode: str) -> tuple[TopKDecision, np.ndarray]:
+        """The same selection in both modes; the combine weights are the
+        renormalized selected scores."""
+        decision = route_top_k_baseline(tokens, self.w_g, self.top_k)
+        return decision, decision.weights
+
+    def unactivated_pairs(self, decision: TopKDecision) -> None:
+        """None: the selection is held fixed in the backward, so no pair
+        outside it is ever computed."""
+        return None
+
+    def backward(self, decision, weights, dots, tokens) -> np.ndarray:
+        """``dots`` is the gradient of the combine weights."""
+        return route_top_k_backward(decision, dots, tokens, self.w_g)

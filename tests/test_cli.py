@@ -23,6 +23,9 @@ FULL_CONFIG = {
     "sweep": {"n_experts_grid": [2, 3], "top_k_grid": [1]},
 }
 
+# a top-k run with K = 3
+TOPK_ROUTER = {"router": {"kind": "topk", "n_experts": 3, "top_k": 2}}
+
 
 def write_config(path: Path, **over):
     doc = {
@@ -202,18 +205,27 @@ class TestCli:
         assert err.startswith("error: ") and "not a model checkpoint" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda doc: {"kind": "bogus"}, "unknown model kind 'bogus'"),
-        (lambda doc: {"layers": []}, "at least one layer"),
-        (lambda doc: {"head_b": [0.0, 0.0, 0.0]}, "does not fit head_b of shape (3,)"),
-        (lambda doc: {"head_w": [[0.0, 0.0]] * 8}, "layer dims [16] do not match the 8 rows of head_w"),
+    @pytest.mark.parametrize("edit, message, router", [
+        (lambda doc: {"kind": "bogus"}, "unknown model kind 'bogus'", {}),
+        (lambda doc: {"layers": []}, "at least one layer", {}),
+        (lambda doc: {"head_b": [0.0, 0.0, 0.0]}, "does not fit head_b of shape (3,)", {}),
+        (lambda doc: {"head_w": [[0.0, 0.0]] * 8}, "layer dims [16] do not match the 8 rows of head_w",
+         {}),
         (lambda doc: {"layers": [{**doc["layers"][0], "w_g": doc["layers"][0]["w_g"][:8]}]},
-         "router columns of dim 8 in a layer of d=16"),
-        (lambda doc: {"combine": "weighted"}, "unsupported combine 'weighted'"),
-    ], ids=["kind", "no_layers", "head_b", "head_w_rows", "w_g_rows", "combine"])
-    def test_eval_inconsistent_checkpoint_is_an_error(self, tmp_path, capsys, edit, message):
+         "router columns of dim 8 in a layer of d=16", {}),
+        (lambda doc: {"combine": "weighted"}, "unsupported combine 'weighted'", {}),
+        (lambda doc: {"layers": [{**doc["layers"][0], "top_k": 9}]}, "top_k 9 not in [1, 3]",
+         TOPK_ROUTER),
+        (lambda doc: {"layers": [{**doc["layers"][0], "h": 3}]},
+         "expert tensor shapes inconsistent with layer dims", TOPK_ROUTER),
+        (lambda doc: {"kind": "dynmoe"}, "unsupported layer schema 'dynmoe-topk-layer/1'",
+         TOPK_ROUTER),
+    ], ids=["kind", "no_layers", "head_b", "head_w_rows", "w_g_rows", "combine", "topk_top_k",
+            "topk_h", "topk_kind"])
+    def test_eval_inconsistent_checkpoint_is_an_error(self, tmp_path, capsys, edit, message,
+                                                      router):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
+        cfg.write_text(json.dumps({**router, "train": {"steps": 4, "eval_every": 4}}))
         run = tmp_path / "r"
         assert main(["train", str(cfg), "--out", str(run)]) == 0
         doc = json.loads((run / "checkpoint.final").read_text())

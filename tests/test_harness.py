@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dynmoe.harness import (
     Adam,
     MoeClassifier,
     SyntheticTask,
-    TopKMoeBlock,
     TrainConfig,
     check_task_args,
     evaluate,
@@ -30,12 +30,20 @@ from dynmoe.harness import (
     make_optimizer,
 )
 from dynmoe import moe_layer
-from dynmoe.moe_layer import ExpertMlp
+from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_backward, moe_forward
 from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad
-from dynmoe.router import route_top_any
+from dynmoe.router import RouterParams, TopKRouter, route_top_any
 
 from conftest import rel_err
 from test_moe_layer import surrogate_output
+
+
+def dynmoe_model(d, cfg, rng):
+    return MoeClassifier.random(cfg, partial(RouterParams.random, d, cfg.init_experts), rng)
+
+
+def topk_model(d, cfg, n_experts, top_k, rng):
+    return MoeClassifier.random(cfg, partial(TopKRouter.random, d, n_experts, top_k), rng)
 
 
 def small_task(seed=3):
@@ -469,15 +477,15 @@ class TestModelParams:
     def test_one_layer_model_has_fixed_param_count(self, n_experts):
         cfg = small_cfg(init_experts=n_experts)
         rng = np.random.default_rng(0)
-        assert len(MoeClassifier.build_dynmoe(10, cfg, rng).params()) == 8
-        assert len(MoeClassifier.build_topk(10, cfg, n_experts, 1, rng).params()) == 7
+        assert len(dynmoe_model(10, cfg, rng).params()) == 8
+        assert len(topk_model(10, cfg, n_experts, 1, rng).params()) == 7
 
     def test_param_count_survives_adapt(self):
         res = train_loop(small_task(), small_cfg())
         assert len({counts for _, counts in res.k_trajectory}) > 1  # K changed
         assert len(res.model.params()) == 8
-        assert all(p.shape[0] == res.model.blocks[0].n_experts
-                   for p in res.model.blocks[0].layer.experts.params())
+        assert all(p.shape[0] == res.model.layers[0].n_experts
+                   for p in res.model.layers[0].experts.params())
 
 
 class TestSoftmaxCrossEntropy:
@@ -501,7 +509,7 @@ class TestTrainStep:
         task = small_task()
         cfg = small_cfg(learning_rate=1e-300)  # effectively zero but valid
         rng = np.random.default_rng(cfg.seed)
-        model = MoeClassifier.build_dynmoe(task.d, cfg, rng)
+        model = dynmoe_model(task.d, cfg, rng)
         before = [p.value.copy() for p in model.params()]
         opt = Adam(lr=0.0)
         stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, opt)
@@ -514,7 +522,7 @@ class TestTrainStep:
         task = small_task()
         cfg = small_cfg()
         rng = np.random.default_rng(cfg.seed)
-        model = MoeClassifier.build_dynmoe(task.d, cfg, rng)
+        model = dynmoe_model(task.d, cfg, rng)
         batch = (task.tokens[:16], task.labels[:16])
         logits, _, _ = model.forward(batch[0], mode="train")
         want_loss, _ = softmax_cross_entropy(logits, batch[1])
@@ -527,8 +535,8 @@ class TestTrainStep:
         task = small_task()
         cfg = small_cfg()
         rng = np.random.default_rng(cfg.seed)
-        model = MoeClassifier.build_dynmoe(task.d, cfg, rng)
-        w_snapshot = Param(model.blocks[0].layer.router.w_g.value.copy())
+        model = dynmoe_model(task.d, cfg, rng)
+        w_snapshot = Param(model.layers[0].router.w_g.value.copy())
         stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, make_optimizer(cfg))
         want = diversity_simplicity_loss(w_snapshot)
         assert abs(stats.aux.diversity - want.diversity) < 1e-12
@@ -537,14 +545,15 @@ class TestTrainStep:
 
     def test_step_and_eval_call_numpy_primitives(self, monkeypatch):
         # The per-step path evaluates numpy's norm, mean, any/all, clip and
-        # eye expressions itself, computes the combine weights once, and adds
+        # eye expressions itself, computes the combine weights once (when the
+        # router routes; the backward takes them from the cache), and adds
         # expert gradients straight into the stacked tensors, so a 1-layer
         # step accumulates only into the head (twice), w_g (router backward
         # and auxiliary loss) and g.
         spec = parse_config_doc({})  # the desk (acceptance) configuration
         task = gen_task(**asdict(spec.task))
         cfg = spec.train
-        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        model = dynmoe_model(task.d, cfg, np.random.default_rng(cfg.seed))
         opt = make_optimizer(cfg)
 
         def banned(*args, **kwargs):
@@ -553,55 +562,55 @@ class TestTrainStep:
         for owner, name in ((np.linalg, "norm"), (np, "mean"), (np, "any"), (np, "all"),
                             (np, "clip"), (np, "eye")):
             monkeypatch.setattr(owner, name, banned)
-        accumulated, combines = [], []
-        accumulate, combine_weights = Param.accumulate, moe_layer._combine_weights
+        accumulated, routes = [], []
+        accumulate, route = Param.accumulate, RouterParams.route
 
         def counted_accumulate(p, g):
             accumulated.append(p.name)
             accumulate(p, g)
 
-        def counted_combine_weights(*args):
-            combines.append(args)
-            return combine_weights(*args)
+        def counted_route(*args):
+            routes.append(args)
+            return route(*args)
 
         monkeypatch.setattr(Param, "accumulate", counted_accumulate)
-        monkeypatch.setattr(moe_layer, "_combine_weights", counted_combine_weights)
-        model.blocks[0].layer.record.start()
+        monkeypatch.setattr(RouterParams, "route", counted_route)
+        model.layers[0].record.start()
         for step in range(2):
             accumulated.clear()
             rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
             train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt)
             assert sorted(accumulated) == ["b_out", "g", "w_g", "w_g", "w_out"]
-        assert len(combines) == 2
+        assert len(routes) == 2
         accuracy, stats, _ = evaluate(model, task.tokens[:256], task.labels[:256])
         assert 0.0 <= accuracy <= 1.0 and stats[0].n_tokens == 256
 
 
 class TestTopKMoeBlockBackward:
-    """Block backward against central differences of the block output; the
-    selection set is asserted not to move under any probe."""
+    """``moe_backward`` on a top-k layer against central differences of the
+    layer output; the selection set is asserted not to move under any probe."""
 
     @pytest.mark.parametrize("top_k", [1, 2, 4])
     def test_all_grads_match_finite_differences(self, rng, top_k):
         d, h, n_experts = 4, 5, 4
-        block = TopKMoeBlock.random(d, h, n_experts, top_k, rng)
+        layer = MoeLayer.around(TopKRouter.random(d, n_experts, top_k, rng), h, rng)
         # tokens lean along axis 0 and expert 3's logit along -axis 0, so
         # expert 3 is never among the top 2
-        block.w_g.value[:, 3] = [-3.0, 0.0, 0.0, 0.0]
+        layer.router.w_g.value[:, 3] = [-3.0, 0.0, 0.0, 0.0]
         tokens = rng.standard_normal((12, d)) + np.array([2.0, 0.0, 0.0, 0.0])
         coeff = rng.standard_normal((12, d))
-        out, cache = block.forward(tokens, "train")
-        mask = cache[1].mask
+        _, decision = moe_forward(layer, tokens, "train")
+        mask = decision.mask
         if top_k < n_experts:
             assert not mask[:, 3].any()
-        d_tokens = block.backward(cache, coeff)
+        d_tokens = moe_backward(layer, decision, tokens, coeff)
 
         def objective_at(x):
-            out2, cache2 = block.forward(x, "train")
-            assert np.array_equal(cache2[1].mask, mask)
+            out2, decision2 = moe_forward(layer, x, "train")
+            assert np.array_equal(decision2.mask, mask)
             return float((coeff * out2).sum())
 
-        for p in block.params():
+        for p in layer.params():
             fd = finite_diff_grad(lambda _: objective_at(tokens), p, eps=1e-6)
             assert rel_err(p.grad, fd) < 1e-5, p.name
         fd_x = finite_diff_grad(lambda q: objective_at(q.value), Param(tokens.copy()), eps=1e-6)
@@ -622,11 +631,10 @@ class TestModelBackward:
         cfg = TrainConfig(n_layers=n_layers, hidden=5, init_experts=3, n_classes=self.N_CLASSES,
                           adapt=AdaptConfig(max_experts=4))
         if router == "topk":
-            return MoeClassifier.build_topk(self.D, cfg, 3, 2, rng), rng
-        model = MoeClassifier.build_dynmoe(self.D, cfg, rng)
+            return topk_model(self.D, cfg, 3, 2, rng), rng
+        model = dynmoe_model(self.D, cfg, rng)
         if state == "post_adapt":
-            for block in model.blocks:
-                layer = block.layer
+            for layer in model.layers:
                 layer.record.start()
                 layer.record.r_e[:] = [4, 0, 2]
                 layer.record.r_s[:] = rng.standard_normal(self.D)
@@ -651,7 +659,7 @@ class TestModelBackward:
         coeff = rng.standard_normal((10, self.N_CLASSES))
         _, caches, h_final = model.forward(tokens, mode="train")
         if router == "topk":
-            for _, decision, _ in caches:
+            for _, decision in caches:
                 scores = np.sort(decision.scores, axis=1)
                 assume(np.min(scores[:, -2] - scores[:, -3]) > 1e-4)
         d_tokens = model.backward(caches, h_final, coeff)
@@ -661,8 +669,8 @@ class TestModelBackward:
                 logits = model.forward(x, mode="train")[0]
             else:
                 h = x
-                for block, (_, decision) in zip(model.blocks, caches):
-                    h = h + surrogate_output(block.layer, h, decision)
+                for layer, (_, decision) in zip(model.layers, caches):
+                    h = h + surrogate_output(layer, h, decision)
                 logits = h @ model.w_out.value + model.b_out.value
             return float((coeff * logits).sum())
 
@@ -697,9 +705,9 @@ class TestPairwiseDispatch:
     def test_dynmoe_backward_rows_equal_activated_pairs(self, monkeypatch):
         task = small_task()
         cfg = small_cfg(init_experts=4)
-        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        model = dynmoe_model(task.d, cfg, np.random.default_rng(cfg.seed))
         tokens, labels = task.tokens[:32], task.labels[:32]
-        decision = route_top_any(tokens, model.blocks[0].layer.router)
+        decision = route_top_any(tokens, model.layers[0].router)
         n_served = int((decision.k > 0).sum())
         assert 0 < decision.k.sum() < n_served * 4
         rows = self.count_rows(monkeypatch)
@@ -711,7 +719,7 @@ class TestPairwiseDispatch:
     def test_erf_once_per_forward_row(self, monkeypatch):
         task = small_task()
         cfg = small_cfg(init_experts=4)
-        model = MoeClassifier.build_dynmoe(task.d, cfg, np.random.default_rng(cfg.seed))
+        model = dynmoe_model(task.d, cfg, np.random.default_rng(cfg.seed))
         rows = self.count_rows(monkeypatch)
         erf_elements = {"forward": 0, "backward": 0}
         in_backward = [False]
@@ -737,7 +745,7 @@ class TestPairwiseDispatch:
     def test_topk_rows_equal_n_times_top_k(self, monkeypatch):
         task = small_task()
         cfg = small_cfg(adapt=None)
-        model = MoeClassifier.build_topk(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
+        model = topk_model(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
         rows = self.count_rows(monkeypatch)
         train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg))
         assert rows == {"forward": 32 * 2, "backward": 32 * 2}

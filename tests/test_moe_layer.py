@@ -3,9 +3,7 @@ import pytest
 
 from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
 from dynmoe.harness import (
-    DynMoeBlock,
     MoeClassifier,
-    TopKMoeBlock,
     activated_params_total,
     load_model,
     save_model,
@@ -21,7 +19,7 @@ from dynmoe.moe_layer import (
     moe_forward,
 )
 from dynmoe.numerics import Param, cosine_scores_batch, finite_diff_grad, sigmoid
-from dynmoe.router import RouterParams, route_top_any
+from dynmoe.router import RouterParams, TopKRouter, route_top_any
 from dynmoe.telemetry import PassStats
 
 from conftest import rel_err
@@ -42,10 +40,9 @@ def layer_with_router(rng, w, g, d, h):
     )
 
 
-def one_block_model(layer, rng):
+def one_layer_model(layer, rng):
     """A classifier around ``layer`` alone, for the model-level API."""
-    return MoeClassifier([DynMoeBlock(layer)], Param(rng.standard_normal((layer.d, 2))),
-                         Param(np.zeros(2)))
+    return MoeClassifier([layer], Param(rng.standard_normal((layer.d, 2))), Param(np.zeros(2)))
 
 
 def stats_with_k(k):
@@ -332,27 +329,27 @@ class TestCountActivatedParams:
         layer = build_layer(rng, d=4, h=3, n_experts=2)
         per_expert = layer.experts.param_count()
         router = 4 * 2 + 2
-        model = one_block_model(layer, rng)
+        model = one_layer_model(layer, rng)
         assert activated_params_total(model, [stats_with_k(np.ones(7))]) == router + per_expert
 
     def test_mean_of_mixed_k(self, rng):
         layer = build_layer(rng, d=4, h=3, n_experts=4)
         per_expert = layer.experts.param_count()
         router = 4 * 4 + 4
-        model = one_block_model(layer, rng)
+        model = one_layer_model(layer, rng)
         total = activated_params_total(model, [stats_with_k([1, 3, 1, 3])])
         assert total == router + 2 * per_expert
 
     def test_monotone_in_k(self, rng):
-        model = one_block_model(build_layer(rng, n_experts=4), rng)
+        model = one_layer_model(build_layer(rng, n_experts=4), rng)
         low = activated_params_total(model, [stats_with_k([1, 1, 2])])
         high = activated_params_total(model, [stats_with_k([1, 2, 2])])
         assert high > low
 
     def test_topk_router_has_no_thresholds(self, rng):
-        block = TopKMoeBlock.random(4, 3, 4, 2, rng)
-        model = MoeClassifier([block], Param(np.zeros((4, 2))), Param(np.zeros(2)))
-        per_expert = block.experts.param_count()
+        layer = MoeLayer.around(TopKRouter.random(4, 4, 2, rng), 3, rng)
+        model = MoeClassifier([layer], Param(np.zeros((4, 2))), Param(np.zeros(2)))
+        per_expert = layer.experts.param_count()
         assert activated_params_total(model, [stats_with_k([2, 2])]) == 4 * 4 + 2 * per_expert
 
 
@@ -363,8 +360,8 @@ class TestCheckpoint:
         out1, dec1 = moe_forward(layer, tokens)
 
         path = tmp_path / "model.json"
-        save_model(one_block_model(layer, rng), path)
-        restored = load_model(path).blocks[0].layer
+        save_model(one_layer_model(layer, rng), path)
+        restored = load_model(path).layers[0]
         out2, dec2 = moe_forward(restored, tokens)
 
         np.testing.assert_array_equal(out1, out2)
@@ -373,8 +370,8 @@ class TestCheckpoint:
     def test_round_trip_values_exact(self, rng, tmp_path):
         layer = build_layer(rng)
         path = tmp_path / "model.json"
-        save_model(one_block_model(layer, rng), path)
-        restored = load_model(path).blocks[0].layer
+        save_model(one_layer_model(layer, rng), path)
+        restored = load_model(path).layers[0]
         np.testing.assert_array_equal(restored.router.w_g.value, layer.router.w_g.value)
         np.testing.assert_array_equal(restored.router.g.value, layer.router.g.value)
         for p, q in zip(restored.experts.params(), layer.experts.params()):

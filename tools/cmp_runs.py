@@ -31,6 +31,8 @@ RUNS = (
     ("adapt_seed2", {}, ["train", "--seed", "2", "--max-experts", "6"]),
     ("topk", {"router": {"kind": "topk", "n_experts": 4, "top_k": 2}}, ["train"]),
     ("two_layers", {"train": {"n_layers": 2}}, ["train"]),
+    ("topk_two_layers", {"router": {"kind": "topk", "n_experts": 4, "top_k": 2},
+                         "train": {"n_layers": 2}}, ["train"]),
     ("baseline", {}, ["baseline", "--K", "3", "--k", "2"]),
     ("sweep", {}, ["sweep"]),
 )

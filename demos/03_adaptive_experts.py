@@ -4,8 +4,9 @@ During a recording window the layer counts per-expert activations (r_e) and
 sums the embeddings of tokens that activated nothing (r_s). Closing the
 window removes experts nobody used and, if unserved tokens exist, appends
 one expert whose representation column is r_s normalized, with a zero
-threshold: the construction guarantees the very tokens that went unserved
-activate the newcomer.
+threshold. An unserved token x activates the newcomer iff <x, r_s> > 0,
+which holds for every member of a cluster with pairwise-positive cosines,
+like the one below.
 """
 
 import numpy as np

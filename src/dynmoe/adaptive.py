@@ -2,23 +2,22 @@
 
 During a recording window the layer counts, per expert, how many tokens
 activated it, and sums the embeddings of tokens that activated nothing.
-When the window closes, experts nobody used are deleted, and if any tokens
+The training loop decides from the step which steps record and when the
+window closes. Then experts nobody used are deleted, and if any tokens
 went unserved a single new expert is appended whose representation column
-is the normalized sum of those tokens (threshold zero), so the very tokens
-that triggered the addition are guaranteed to activate it. Its MLP weights
-are drawn fresh, as the initial experts' are.
+is the normalized sum r_s of those tokens (threshold zero). An unserved
+token x activates it iff <x, r_s> > 0: every token of a cluster with
+pairwise-positive cosines does, but not every unserved token in general.
+Its MLP weights are drawn fresh, as the initial experts' are.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import ConfigurationError, DimensionError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -26,14 +25,12 @@ class RoutingRecord:
     """Per-interval routing counters for one layer.
 
     ``r_e[e]`` is the exact number of token activations of expert e since
-    recording started; ``r_s`` is the unnormalized sum of embeddings of
-    tokens that activated no expert. Both reset when recording starts.
+    the last reset; ``r_s`` is the unnormalized sum of embeddings of tokens
+    that activated no expert. ``start`` and ``adapt`` reset both.
     """
 
     r_e: np.ndarray  # (K,) int64
     r_s: np.ndarray  # (d,) float64
-    recording: bool = False
-    skipped_batches: int = 0
 
     @classmethod
     def fresh(cls, n_experts: int, dim: int) -> "RoutingRecord":
@@ -42,20 +39,14 @@ class RoutingRecord:
     def start(self) -> None:
         self.r_e[:] = 0
         self.r_s[:] = 0.0
-        self.recording = True
 
 
-def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> RoutingRecord:
+def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> None:
     """Accumulate one batch's routing outcome into the record.
 
     Increments ``r_e`` by the mask's column sums and ``r_s`` by the sum of
-    token rows with k = 0. Calling this while not recording is a counted
-    no-op, not an error, because the window flags are driven externally.
+    token rows with k = 0.
     """
-    if not rec.recording:
-        rec.skipped_batches += 1
-        log.warning("record() called outside a recording window; ignored")
-        return rec
     tokens = np.asarray(tokens, dtype=np.float64)
     if decision.mask.shape[1] != rec.r_e.shape[0]:
         raise DimensionError(
@@ -69,7 +60,6 @@ def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> RoutingRecord:
     empty = decision.k == 0
     if empty.any():
         rec.r_s += np.add.reduce(tokens[empty], axis=0)
-    return rec
 
 
 @dataclass
@@ -160,6 +150,5 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
 
     rec.r_e = np.zeros(report.new_k_total, dtype=np.int64)
     rec.r_s = np.zeros_like(rec.r_s)
-    rec.recording = False
     layer.validate()
     return report

@@ -19,7 +19,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .adaptive import AdaptConfig
-from .harness import TrainConfig, check_task_args
+from .harness import TrainConfig, check_adapt_bounds, check_task_args
 from .numerics import ConfigurationError
 
 CONFIG_SCHEMA = "dynmoe-config/1"
@@ -159,6 +159,11 @@ def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
             raise ConfigError(f"unknown top-level key(s): {unknown}")
         train = _section(TrainConfig, doc.get("train", {}), "train",
                          adapt=_value(doc.get("adapt", {}), AdaptConfig | None, "adapt"))
+        if train.adapt is not None:
+            try:
+                check_adapt_bounds(train.init_experts, train.adapt)
+            except ConfigurationError as exc:
+                raise ConfigError(f"adapt: {exc}") from exc
         return RunSpec(
             task=_section(TaskSpec, doc.get("task", {}), "task"),
             train=train,

@@ -387,8 +387,8 @@ class MoeClassifier:
 
 
 def _top_any(layer: MoeLayer) -> bool:
-    """Whether the layer routes top-any: only then does it have thresholds,
-    an auxiliary loss and a routing record, and adapt."""
+    """Whether the layer routes top-any: only then does it have thresholds
+    and an auxiliary loss, record its routing and adapt."""
     return isinstance(layer.router, RouterParams)
 
 
@@ -437,13 +437,21 @@ class TrainConfig:
             raise ConfigurationError("eval_fraction must be in (0, 1)")
 
 
+def check_adapt_bounds(init_experts: int, adapt: AdaptConfig) -> None:
+    """Raise ``ConfigurationError`` unless the starting K lies within the
+    bounds ``adapt`` keeps K in."""
+    if not adapt.min_experts <= init_experts <= adapt.max_experts:
+        raise ConfigurationError(
+            f"init_experts {init_experts} is outside [min_experts, max_experts] = "
+            f"[{adapt.min_experts}, {adapt.max_experts}]"
+        )
+
+
 @dataclass
 class StepStats:
     task_loss: float
     aux: AuxLossReport | None  # None for baseline models
     mean_k: float
-    n_experts: tuple[int, ...]
-    accuracy: float
 
 
 @dataclass
@@ -461,15 +469,15 @@ class RunResult:
 
 # --- training ----------------------------------------------------------------
 
-def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt) -> StepStats:
-    """One optimizer update: task loss, auxiliary loss, routing records."""
+def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, recording: bool) -> StepStats:
+    """One optimizer update: task loss, auxiliary loss and, if ``recording``,
+    the routing records of top-any layers."""
     tokens, labels = batch
     model.zero_grad()
     logits, caches, h_final = model.forward(tokens, mode="train")
     task_loss, d_logits = softmax_cross_entropy(logits, labels)
     if not math.isfinite(task_loss):
         raise DivergenceError("non-finite task loss")
-    accuracy = _accuracy(logits, labels)
     model.backward(caches, h_final, d_logits)
 
     k_values, aux = [], []
@@ -477,7 +485,7 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt) -> StepStats:
         k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
         if _top_any(layer):
             aux.append(diversity_simplicity_loss(layer.router.w_g, weight=cfg.aux_loss_weight))
-            if layer.record.recording:
+            if recording:
                 record(layer.record, decision, x_in)
     aux_report = None
     if aux:
@@ -490,13 +498,7 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt) -> StepStats:
     mean_k = float(np.add.reduce(k_values) / len(k_values))  # np.mean's order, not sum()'s
     if aux_report is not None and not math.isfinite(aux_report.total):
         raise DivergenceError("non-finite auxiliary loss")
-    return StepStats(
-        task_loss=task_loss,
-        aux=aux_report,
-        mean_k=mean_k,
-        n_experts=model.expert_counts(),
-        accuracy=accuracy,
-    )
+    return StepStats(task_loss=task_loss, aux=aux_report, mean_k=mean_k)
 
 
 def _accuracy(logits, labels) -> float:
@@ -557,6 +559,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
 
     adapting = cfg.adapt is not None and _top_any(model.layers[0])
     if adapting:
+        check_adapt_bounds(cfg.init_experts, cfg.adapt)
         interval = cfg.adapt.check_interval
         start_pos = int(math.floor(cfg.adapt.record_window[0] * interval))
         end_pos = int(math.floor(cfg.adapt.record_window[1] * interval))
@@ -564,7 +567,6 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
 
     order = np.array([], dtype=np.int64)
     cursor = 0
-    last_stats: StepStats | None = None
     for step in range(cfg.steps):
         if cursor + cfg.batch_size > order.size:
             order = rng.permutation(train_idx)
@@ -572,13 +574,11 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
         batch_idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
-        if adapting and step % interval == start_pos:
-            for layer in model.layers:
-                layer.record.start()
+        recording = adapting and start_pos <= step % interval < end_pos
+        last_stats = train_step(model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt,
+                                recording)
 
-        last_stats = train_step(model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt)
-
-        if adapting and step % interval == end_pos - 1 and model.layers[0].record.recording:
+        if adapting and step % interval == end_pos - 1:
             for li, layer in enumerate(model.layers):
                 prev_k = layer.n_experts
                 report = adapt(layer, layer.record, cfg.adapt, rng)
@@ -602,10 +602,10 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
             if last_stats.aux is not None:
                 metrics.append(step + 1, -1, "aux_total", last_stats.aux.total)
 
-    final_accuracy, stats, _ = evaluate(model, eval_tokens, eval_labels)
+    # The last step evaluated the final model.
     mean_k = float(np.mean([ps.mean_top_k for ps in stats]))
     return RunResult(
-        final_accuracy=final_accuracy,
+        final_accuracy=accuracy,
         k_trajectory=k_traj,
         metrics=metrics,
         adapt_events=adapt_events,

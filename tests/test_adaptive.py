@@ -72,14 +72,6 @@ class TestRecord:
             total += int(dec.k.sum())
         assert int(layer.record.r_e.sum()) == total
 
-    def test_not_recording_is_counted_noop(self, rng):
-        layer = build_layer(rng)
-        tokens = rng.standard_normal((4, layer.d))
-        dec = route_top_any(tokens, layer.router)
-        record(layer.record, dec, tokens)
-        np.testing.assert_array_equal(layer.record.r_e, 0)
-        assert layer.record.skipped_batches == 1
-
 
 class TestAdapt:
     def test_zero_count_expert_removed(self, rng):
@@ -152,7 +144,6 @@ class TestAdapt:
         layer.record.r_e[:] = [1, 0, 2]
         layer.record.r_s[:] = 1.0
         adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
-        assert not layer.record.recording
         np.testing.assert_array_equal(layer.record.r_e, 0)
         np.testing.assert_array_equal(layer.record.r_s, 0.0)
         assert layer.record.r_e.shape[0] == layer.n_experts
@@ -207,6 +198,24 @@ class TestAdapt:
         new_e = layer.n_experts - 1
         dec2 = route_top_any(cluster, layer.router)
         assert np.all(dec2.mask[:, new_e] == 1.0)
+
+    def test_added_expert_serves_exactly_tokens_with_positive_dot_to_r_s(self, rng):
+        # The new column is r_s / |r_s| at threshold zero, so an unserved token
+        # x activates it iff <x, r_s> > 0; that fails for some unserved tokens
+        # unless their cosines are pairwise positive.
+        layer = build_layer(rng, d=4, n_experts=2)
+        layer.router.g.value[:] = 9.0  # nothing activates
+        tokens = np.array([[1.0, 0.0, 0.0, 0.0], [-0.9, 0.1, 0.0, 0.0]])
+        dec = route_top_any(tokens, layer.router)
+        assert np.all(dec.k == 0)
+        layer.record.start()
+        record(layer.record, dec, tokens)
+        dots = tokens @ layer.record.r_s
+        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        assert report.added
+        after = route_top_any(tokens, layer.router)
+        np.testing.assert_array_equal(after.mask[:, -1], [1.0, 0.0])
+        np.testing.assert_array_equal(after.mask[:, -1], dots > 0.0)
 
 
 class TestInitNewExpert:

@@ -339,6 +339,9 @@ class TestCli:
         ("train", {"task": {"d": 3}}),
         ("sweep", {"task": {"n_samples": 0}}),
         ("sweep", {"sweep": {"n_experts_grid": [2], "top_k_grid": [3]}}),
+        # a starting K outside the adapt bounds fails before the first adapt
+        ("train", {"train": {"init_experts": 8, "steps": 400}, "adapt": {"max_experts": 4}}),
+        ("sweep", {"train": {"init_experts": 1}, "adapt": {"min_experts": 2}}),
     ])
     def test_bad_section_exits_before_the_run(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path / "c.json", **section)

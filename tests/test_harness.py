@@ -512,7 +512,7 @@ class TestTrainStep:
         model = dynmoe_model(task.d, cfg, rng)
         before = [p.value.copy() for p in model.params()]
         opt = Adam(lr=0.0)
-        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, opt)
+        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, opt, False)
         for p, b in zip(model.params(), before):
             np.testing.assert_array_equal(p.value, b)
         assert np.isfinite(stats.task_loss)
@@ -526,7 +526,7 @@ class TestTrainStep:
         batch = (task.tokens[:16], task.labels[:16])
         logits, _, _ = model.forward(batch[0], mode="train")
         want_loss, _ = softmax_cross_entropy(logits, batch[1])
-        stats = train_step(model, batch, cfg, make_optimizer(cfg))
+        stats = train_step(model, batch, cfg, make_optimizer(cfg), False)
         assert abs(stats.task_loss - want_loss) < 1e-12
 
     def test_aux_matches_standalone_losses_module(self):
@@ -537,7 +537,7 @@ class TestTrainStep:
         rng = np.random.default_rng(cfg.seed)
         model = dynmoe_model(task.d, cfg, rng)
         w_snapshot = Param(model.layers[0].router.w_g.value.copy())
-        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, make_optimizer(cfg))
+        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, make_optimizer(cfg), False)
         want = diversity_simplicity_loss(w_snapshot)
         assert abs(stats.aux.diversity - want.diversity) < 1e-12
         assert abs(stats.aux.simplicity - want.simplicity) < 1e-12
@@ -575,11 +575,10 @@ class TestTrainStep:
 
         monkeypatch.setattr(Param, "accumulate", counted_accumulate)
         monkeypatch.setattr(RouterParams, "route", counted_route)
-        model.layers[0].record.start()
         for step in range(2):
             accumulated.clear()
             rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
-            train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt)
+            train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt, True)
             assert sorted(accumulated) == ["b_out", "g", "w_g", "w_g", "w_out"]
         assert len(routes) == 2
         accuracy, stats, _ = evaluate(model, task.tokens[:256], task.labels[:256])
@@ -711,7 +710,7 @@ class TestPairwiseDispatch:
         n_served = int((decision.k > 0).sum())
         assert 0 < decision.k.sum() < n_served * 4
         rows = self.count_rows(monkeypatch)
-        train_step(model, (tokens, labels), cfg, make_optimizer(cfg))
+        train_step(model, (tokens, labels), cfg, make_optimizer(cfg), False)
         assert rows["backward"] == decision.k.sum()
         # activated pairs plus the non-activated pairs of served tokens
         assert rows["forward"] == n_served * 4
@@ -738,7 +737,7 @@ class TestPairwiseDispatch:
 
         monkeypatch.setattr(ExpertMlp, "backward", backward)
         monkeypatch.setattr(moe_layer, "erf", erf)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg))
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg), False)
         assert rows["forward"] > 0 and rows["backward"] > 0
         assert erf_elements == {"forward": rows["forward"] * cfg.hidden, "backward": 0}
 
@@ -747,7 +746,7 @@ class TestPairwiseDispatch:
         cfg = small_cfg(adapt=None)
         model = topk_model(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
         rows = self.count_rows(monkeypatch)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg))
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg), False)
         assert rows == {"forward": 32 * 2, "backward": 32 * 2}
 
 
@@ -783,6 +782,44 @@ class TestTrainLoop:
         assert res.adapt_events  # the schedule fired at all
         for ev in res.adapt_events:
             assert ev["step"] % interval == end_pos - 1
+
+    @pytest.mark.parametrize("window, recorded, adapted", [
+        # every step records; the run ends 7 steps into its fifth window
+        ((0.0, 1.0), list(range(47)), [9, 19, 29, 39]),
+        # a one-step window at position 5, which the last step reaches
+        ((0.5, 0.51), [5, 15, 25, 35, 45], [5, 15, 25, 35, 45]),
+    ])
+    def test_record_runs_exactly_on_window_steps(self, monkeypatch, window, recorded, adapted):
+        task = small_task()
+        cfg = small_cfg(steps=47, eval_every=47,
+                        adapt=AdaptConfig(max_experts=6, check_interval=10, record_window=window))
+        steps, calls = [], []
+        step, rec = harness.train_step, harness.record
+
+        def counted_step(*args):
+            steps.append(len(steps))
+            return step(*args)
+
+        def counted_record(*args):
+            calls.append(steps[-1])
+            rec(*args)
+
+        monkeypatch.setattr(harness, "train_step", counted_step)
+        monkeypatch.setattr(harness, "record", counted_record)
+        res = train_loop(task, cfg)
+        assert calls == recorded
+        assert [ev["step"] for ev in res.adapt_events] == adapted
+
+    @pytest.mark.parametrize("init_experts, adapt_cfg", [
+        (8, AdaptConfig(max_experts=4)),
+        (1, AdaptConfig(max_experts=6, min_experts=2)),
+    ])
+    def test_starting_k_outside_adapt_bounds_is_a_config_error(self, init_experts, adapt_cfg):
+        cfg = small_cfg(init_experts=init_experts, adapt=adapt_cfg)
+        with pytest.raises(ConfigurationError, match="init_experts"):
+            train_loop(small_task(), cfg)
+        # a top-k run never adapts, so the bounds do not apply to it
+        run_baseline(small_task(), small_cfg(steps=2, init_experts=init_experts, adapt=adapt_cfg), 3, 1)
 
     def test_determinism_identical_runs(self):
         task = small_task()

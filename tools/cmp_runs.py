@@ -35,6 +35,10 @@ RUNS = (
                          "train": {"n_layers": 2}}, ["train"]),
     ("baseline", {}, ["baseline", "--K", "3", "--k", "2"]),
     ("sweep", {}, ["sweep"]),
+    # every step records, 35 windows close, and the run ends inside the 36th
+    ("window_edges", {"train": {"steps": 250},
+                      "adapt": {"check_interval": 7, "record_window": [0.0, 1.0]}}, ["train"]),
+    ("no_adapt", {"adapt": None}, ["train"]),
 )
 
 # one BLAS thread on both sides; no __pycache__ written into the trees

@@ -11,6 +11,9 @@ Dispatch is pair-wise: each expert runs once, on the rows that activate it.
 In training mode the combine weights and the outputs and expert caches of
 those activated pairs are kept on the decision, and the backward reuses them
 instead of computing the weights again or running any expert again on them.
+In eval mode nothing is kept, and every expert runs in one workspace
+allocated per call, so a batch touches its pages once instead of once per
+expert (see ``_dispatch``).
 
 Backward composition, per token i with upstream u_i = dL/dy_i:
 
@@ -52,12 +55,16 @@ TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
 EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
-def gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(u: np.ndarray, out: tuple = (None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian-error linear unit, 0.5 * u * (1 + erf(u / sqrt(2))),
-    and its factor 1 + erf(u / sqrt(2)), which :func:`gelu_grad` reuses."""
-    one_plus_erf = erf(u * _INV_SQRT2)
+    and its factor 1 + erf(u / sqrt(2)), which :func:`gelu_grad` reuses.
+    ``out`` holds an array shaped like ``u`` for each of the two, or None
+    for a fresh one."""
+    act, one_plus_erf = out
+    one_plus_erf = np.multiply(u, _INV_SQRT2, out=one_plus_erf)
+    erf(one_plus_erf, out=one_plus_erf)
     one_plus_erf += 1.0
-    act = 0.5 * u
+    act = np.multiply(u, 0.5, out=act)
     act *= one_plus_erf
     return act, one_plus_erf
 
@@ -108,12 +115,17 @@ class ExpertMlp:
         """Parameters of one expert."""
         return sum(p.value[0].size for p in self.params())
 
-    def forward(self, e: int, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Expert e on the rows ``x``."""
-        pre = x @ self.w1.value[e]
+    def forward(self, e: int, x: np.ndarray, *, work=(None, (None,) * 3)
+                ) -> tuple[np.ndarray, tuple]:
+        """Expert e on the rows ``x``. ``work``, an (n, d) and a (3, n, h)
+        array with n = len(x), receives the output and the cached
+        intermediates; its None entries, the default, get fresh arrays.
+        Either way the bits are the same."""
+        out, (pre, act, one_plus_erf) = work
+        pre = np.matmul(x, self.w1.value[e], out=pre)
         pre += self.b1.value[e]
-        act, one_plus_erf = gelu(pre)
-        out = act @ self.w2.value[e]
+        act, one_plus_erf = gelu(pre, out=(act, one_plus_erf))
+        out = np.matmul(act, self.w2.value[e], out=out)
         out += self.b2.value[e]
         return out, (x, pre, act, one_plus_erf)
 
@@ -198,11 +210,24 @@ def _dispatch(
     Returns the combine ``sum_e weights[:, e] * E_e(x)`` and, when
     ``keep_cache`` is set, one ``(expert index, rows, outputs, expert cache)``
     entry per expert that some row activates, for :func:`_pairs_backward`.
+
+    Without a cache, every expert gathers its rows into, and runs in, one
+    workspace allocated for the call and sized for the busiest expert.
+    Fresh temporaries per expert made glibc hand their pages back and fault
+    them in again on every batch; the workspace is touched once per call.
+    (Sized for the whole batch instead, it raised the peak resident set on
+    the mid-size benchmark by about 3 MB.) ``np.take`` with ``out=`` copies
+    through a temporary in its default ``raise`` mode, so it gathers in
+    ``clip`` mode (the row indices are in range anyway).
     """
     # zeros_like writes its zeros; at eval sizes np.zeros gets fresh calloc
-    # pages, which the scatter-add below faults in twice (read, then write).
+    # pages, which the scatter below faults in twice (read, then write).
     out = np.zeros_like(tokens)
     pairs = [] if keep_cache else None
+    if not keep_cache:  # rows for the busiest expert
+        n = int(np.maximum.reduce(np.add.reduce(mask, axis=0)))
+        rows = np.empty((2, n, tokens.shape[1]))
+        hidden = np.empty((3, n, experts.w1.shape[2]))
     for e in range(experts.n_experts):
         idx = (mask[:, e] > 0.0).nonzero()[0]
         if not idx.size:
@@ -212,11 +237,12 @@ def _dispatch(
             pairs.append((e, idx, out_e, cache_e))
             out[idx] += weights[idx, e, None] * out_e
         else:
-            # Nothing is kept: drop the expert cache at once and scale the
-            # output in place, so the next expert reuses the freed buffers.
-            out_e = experts.forward(e, tokens[idx])[0]
-            out_e *= weights[idx, e, None]
-            out[idx] += out_e
+            x, o = rows[:, :idx.size]
+            np.take(tokens, idx, axis=0, out=x, mode="clip")
+            experts.forward(e, x, work=(o, hidden[:, :idx.size]))
+            o *= weights[idx, e, None]
+            o += np.take(out, idx, axis=0, out=x, mode="clip")  # x is spent; IEEE + commutes
+            out[idx] = o
     return out, pairs
 
 

@@ -11,9 +11,17 @@ SHORT = {"task": {"n_samples": 400}, "train": {"steps": 30, "eval_every": 15},
          "adapt": {"check_interval": 10}}
 
 
-def test_checkout_against_itself_is_identical():
+def test_checkout_against_itself_is_identical(monkeypatch):
     runs = [("short", SHORT, ["train"])]
+    compared, diff_dirs = [], cmp_runs.diff_dirs
+
+    def spy(a, b):
+        compared.extend(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+        return diff_dirs(a, b)
+
+    monkeypatch.setattr(cmp_runs, "diff_dirs", spy)
     assert cmp_runs.compare(ROOT, ROOT, runs) == []
+    assert {"checkpoint.final", "eval/metrics.csv", "eval/artifacts.json"} <= set(compared)
 
 
 def test_diff_dirs_names_changed_and_one_sided_files(tmp_path):

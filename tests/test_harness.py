@@ -689,9 +689,9 @@ class TestPairwiseDispatch:
         rows = {"forward": 0, "backward": 0}
         fwd, bwd = ExpertMlp.forward, ExpertMlp.backward
 
-        def forward(self, e, x):
+        def forward(self, e, x, **kwargs):
             rows["forward"] += len(x)
-            return fwd(self, e, x)
+            return fwd(self, e, x, **kwargs)
 
         def backward(self, e, cache, upstream):
             rows["backward"] += len(upstream)
@@ -731,15 +731,36 @@ class TestPairwiseDispatch:
             finally:
                 in_backward[0] = False
 
-        def erf(u):
+        def erf(u, **kwargs):
             erf_elements["backward" if in_backward[0] else "forward"] += np.size(u)
-            return raw_erf(u)
+            return raw_erf(u, **kwargs)
 
         monkeypatch.setattr(ExpertMlp, "backward", backward)
         monkeypatch.setattr(moe_layer, "erf", erf)
         train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg), False)
         assert rows["forward"] > 0 and rows["backward"] > 0
         assert erf_elements == {"forward": rows["forward"] * cfg.hidden, "backward": 0}
+
+    @pytest.mark.parametrize("router", ["top_any", "topk"])
+    def test_eval_rows_equal_activated_pairs(self, monkeypatch, router):
+        task = small_task()
+        cfg = small_cfg(init_experts=4)
+        rng = np.random.default_rng(cfg.seed)
+        model = dynmoe_model(task.d, cfg, rng) if router == "top_any" else topk_model(
+            task.d, cfg, 4, 2, rng)
+        rows = self.count_rows(monkeypatch)
+        erf_elements, raw_erf = [0], moe_layer.erf
+
+        def erf(u, **kwargs):
+            erf_elements[0] += np.size(u)
+            return raw_erf(u, **kwargs)
+
+        monkeypatch.setattr(moe_layer, "erf", erf)
+        caches = evaluate(model, task.tokens[:64], task.labels[:64])[2]
+        activated = int(caches[0][1].k.sum())
+        assert activated >= 64
+        assert rows == {"forward": activated, "backward": 0}
+        assert erf_elements[0] == activated * cfg.hidden
 
     def test_topk_rows_equal_n_times_top_k(self, monkeypatch):
         task = small_task()

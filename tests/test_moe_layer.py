@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
 from dynmoe.harness import (
@@ -139,6 +141,61 @@ class TestMoeForward:
         )
         out_perm, _ = moe_forward(permuted, tokens)
         assert rel_err(out_perm, out) < 1e-12
+
+
+def layer_of(router, d, h, n_experts, rng):
+    """A top-any layer, or a top-k one selecting 1 to K - 1 experts."""
+    if router == "top_any":
+        return MoeLayer.random(d, h, n_experts, rng)
+    top_k = int(rng.integers(1, n_experts))
+    return MoeLayer.around(TopKRouter.random(d, n_experts, top_k, rng), h, rng)
+
+
+class TestEvalWorkspace:
+    """Eval mode runs every expert in one workspace per call. Train mode,
+    on fresh arrays per expert, is its independent reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(router=st.sampled_from(["top_any", "topk"]), d=st.integers(2, 8),
+           h=st.integers(1, 12), n_experts=st.integers(2, 5), n=st.integers(1, 40),
+           idle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(router="top_any", d=6, h=3, n_experts=3, n=1, idle=True, seed=0)
+    @example(router="topk", d=5, h=5, n_experts=4, n=7, idle=True, seed=1)
+    @example(router="top_any", d=4, h=11, n_experts=5, n=40, idle=False, seed=2)
+    def test_eval_equals_train_bit_for_bit(self, router, d, h, n_experts, n, idle, seed):
+        rng = np.random.default_rng(seed)
+        layer = layer_of(router, d, h, n_experts, rng)
+        tokens = rng.standard_normal((n, d))
+        if router == "top_any":
+            # Expert 1 serves every row, so eval needs no top-1 fallback and
+            # each expert runs the same rows in both modes. A fallback row can
+            # turn an expert's one-row product into a taller one, which numpy
+            # sends down another BLAS path with other rounding.
+            layer.router.g.value[1] = -5.0
+            if idle:
+                layer.router.g.value[0] = 5.0  # expert 0 serves no row
+        elif idle:  # positive tokens and weights; expert 0 always scores lowest
+            tokens = np.abs(tokens)
+            w = layer.router.w_g.value
+            w[:] = np.abs(w)
+            w[:, 0] = -1.0
+        train_out, train_dec = moe_forward(layer, tokens, mode="train")
+        eval_out, eval_dec = moe_forward(layer, tokens, mode="eval")
+        np.testing.assert_array_equal(eval_dec.mask, train_dec.mask)
+        assert eval_out.tobytes() == train_out.tobytes()
+        if idle:
+            assert not eval_dec.mask[:, 0].any()
+
+    @pytest.mark.parametrize("router", ["top_any", "topk"])
+    def test_returned_outputs_outlive_later_calls(self, rng, router):
+        layer = layer_of(router, 6, 9, 4, rng)
+        returned = []
+        for n in (1024, 257, 1):
+            out = moe_forward(layer, rng.standard_normal((n, layer.d)), mode="eval")[0]
+            assert out.flags.owndata
+            returned.append((out, out.copy()))
+        for out, copy in returned:
+            assert out.tobytes() == copy.tobytes()
 
 
 class TestMoeBackward:

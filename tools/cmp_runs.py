@@ -6,9 +6,12 @@ Usage:
 
 runs every command of ``RUNS`` once with ``PYTHONPATH=<tree>/src`` for each
 tree (``--tree`` defaults to the checkout holding this script), with BLAS on
-one thread, in a temporary directory, and compares every file the runs
-write: ``checkpoint.final``, ``metrics.csv``, ``adapt.jsonl``,
-``artifacts.json``, ``config.snapshot`` and the sweep's ``comparison.csv``.
+one thread, in a temporary directory. After each ``train`` or ``baseline``
+run, each tree runs ``dynmoe eval`` on its own ``checkpoint.final`` into
+``eval/``. It compares every file the runs write: ``checkpoint.final``,
+``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``, ``config.snapshot``,
+the sweep's ``comparison.csv`` and the eval's ``metrics.csv`` and
+``artifacts.json``.
 It prints the files that differ or exist on one side only and exits 1 if
 there are any, 0 otherwise. Nothing is written into either tree.
 """
@@ -46,11 +49,20 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "
        "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def _start(tree: Path, config: Path, args: list[str], out: Path) -> subprocess.Popen:
-    env = {**os.environ, **ENV, "PYTHONPATH": str(tree.resolve() / "src")}
-    argv = [sys.executable, "-m", "dynmoe.cli", args[0], str(config), *args[1:], "--out", str(out)]
-    return subprocess.Popen(argv, cwd=out.parent, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
+def _both(name: str, trees: list[Path], sides: list[Path], argv) -> None:
+    """Run ``dynmoe.cli`` with the arguments ``argv(out)`` for each tree and
+    its output directory, both at once. Raises ``RuntimeError`` if either
+    fails."""
+    procs = []
+    for tree, out in zip(trees, sides):
+        env = {**os.environ, **ENV, "PYTHONPATH": str(tree.resolve() / "src")}
+        procs.append(subprocess.Popen([sys.executable, "-m", "dynmoe.cli", *argv(out)],
+                                      cwd=out.parent, env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True))
+    for tree, proc in zip(trees, procs):
+        err = proc.communicate()[1]
+        if proc.returncode:
+            raise RuntimeError(f"{name} failed on {tree} (exit {proc.returncode}):\n{err}")
 
 
 def diff_dirs(a: Path, b: Path) -> list[str]:
@@ -74,14 +86,14 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS) -> list[str]:
             config = run_dir / "config.json"
             config.write_text(json.dumps(doc))
             sides = [run_dir / side / "out" for side in ("a", "b")]
-            procs = []
-            for tree, out in zip((tree_a, tree_b), sides):
+            trees = [Path(tree_a), Path(tree_b)]
+            for out in sides:
                 out.parent.mkdir()
-                procs.append(_start(Path(tree), config, args, out))
-            for tree, proc in zip((tree_a, tree_b), procs):
-                err = proc.communicate()[1]
-                if proc.returncode:
-                    raise RuntimeError(f"{name} failed on {tree} (exit {proc.returncode}):\n{err}")
+            _both(name, trees, sides,
+                  lambda out: [args[0], str(config), *args[1:], "--out", str(out)])
+            if args[0] in ("train", "baseline"):
+                _both(f"{name} eval", trees, sides, lambda out: [
+                    "eval", str(out / "checkpoint.final"), str(config), "--out", str(out / "eval")])
             differing += [f"{name}/{rel}" for rel in diff_dirs(*sides)]
     return differing
 

@@ -265,13 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
 
-    def add_config_arg(p):
-        # accepted positionally or as --config; exactly one must be given
-        p.add_argument("config", nargs="?", default=None)
-        p.add_argument("--config", dest="config_flag", default=None)
-
     p_train = sub.add_parser("train", help="train a model from a config file")
-    add_config_arg(p_train)
+    p_train.add_argument("config")
     add_common(p_train)
     p_train.add_argument("--max-experts", type=int, default=None, dest="max_experts")
     p_train.add_argument("--check-interval", type=int, default=None, dest="check_interval")
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(handler=cmd_train)
 
     p_base = sub.add_parser("baseline", help="train a fixed top-k baseline")
-    add_config_arg(p_base)
+    p_base.add_argument("config")
     p_base.add_argument("--K", type=int, required=True)
     p_base.add_argument("--k", type=int, required=True)
     add_common(p_base)
@@ -298,27 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(handler=cmd_report)
 
     p_sweep = sub.add_parser("sweep", help="baseline (K, k) grid plus one adaptive run")
-    add_config_arg(p_sweep)
+    p_sweep.add_argument("config")
     add_common(p_sweep)
     p_sweep.set_defaults(handler=cmd_sweep)
 
     return parser
 
 
-def _resolve_config_path(args, parser) -> None:
-    if not hasattr(args, "config_flag"):
-        return
-    given = [v for v in (args.config, args.config_flag) if v is not None]
-    if len(given) != 1:
-        parser.error(f"{args.command}: give a config file either positionally or via --config")
-    args.config = given[0]
-
-
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve_config_path(args, parser)
     try:
         return args.handler(args)
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:

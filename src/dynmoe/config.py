@@ -2,9 +2,8 @@
 harness dataclasses, with errors that point at the offending place.
 
 Each section is read against its dataclass (``task`` -> :class:`TaskSpec`,
-``train`` -> ``TrainConfig``, ``train.optimizer`` -> ``OptimizerConfig``,
-``adapt`` -> ``AdaptConfig``, ``router`` -> :class:`RouterSpec`, ``sweep``
--> :class:`SweepSpec`):
+``train`` -> ``TrainConfig``, ``adapt`` -> ``AdaptConfig``, ``router`` ->
+:class:`RouterSpec`, ``sweep`` -> :class:`SweepSpec`):
 a key the section omits keeps the dataclass default, and a key it sets must
 have the JSON type of the field.
 """

@@ -35,12 +35,7 @@ from .moe_layer import (
 )
 from .numerics import ConfigurationError, DivergenceError, Param
 from .router import RouterParams, TopKRouter
-from .telemetry import (
-    MetricsLog,
-    PassStats,
-    expert_similarity_matrix,
-    gate_threshold_dump,
-)
+from .telemetry import MetricsLog, PassStats, expert_similarity_matrix
 
 MODEL_SCHEMA = "dynmoe-model/1"
 # DynMoE checkpoints name their combine; the mean is the only one there is.
@@ -58,6 +53,12 @@ _PROJ_GUARD = 1e-9
 
 
 # --- synthetic planted-skill tasks ------------------------------------------
+
+# gen_task labels are binary, so the head has two logits; split_task holds
+# out this share of a task's rows for evaluation.
+N_CLASSES = 2
+EVAL_FRACTION = 0.2
+
 
 @dataclass
 class SyntheticTask:
@@ -194,13 +195,6 @@ def gen_task(
 
 # --- optimizers --------------------------------------------------------------
 
-@dataclass
-class OptimizerConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class Adam:
     """Adam over one fixed list of Params, updated as flat vectors.
 
@@ -226,11 +220,13 @@ class Adam:
     and up to 4.16 later (3.08 and 6.41 after 3000 steps).
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    # the standard constants of Kingma & Ba (arXiv 1412.6980)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._params: list[Param] = []
         self._shapes: list[tuple[int, ...]] = []  # the shape each Param's state has
         self._value = self._grad = None           # flat storage the Params view
@@ -330,11 +326,6 @@ class Adam:
         self._value = None  # the layout moved: the next step packs again
 
 
-def make_optimizer(cfg: "TrainConfig") -> Adam:
-    oc = cfg.optimizer
-    return Adam(cfg.learning_rate, oc.beta1, oc.beta2, oc.eps)
-
-
 # --- model -------------------------------------------------------------------
 
 class MoeClassifier:
@@ -351,8 +342,8 @@ class MoeClassifier:
         random experts, then the head, all drawn from ``rng`` in that order."""
         layers = [MoeLayer.around(new_router(rng), cfg.hidden, rng) for _ in range(cfg.n_layers)]
         d = layers[0].d
-        head = Param(rng.standard_normal((d, cfg.n_classes)) / math.sqrt(d), name="w_out")
-        return cls(layers, head, Param(np.zeros(cfg.n_classes), name="b_out"))
+        head = Param(rng.standard_normal((d, N_CLASSES)) / math.sqrt(d), name="w_out")
+        return cls(layers, head, Param(np.zeros(N_CLASSES), name="b_out"))
 
     def forward(self, tokens, mode="train"):
         h = np.asarray(tokens, dtype=np.float64)
@@ -413,7 +404,6 @@ class TrainConfig:
     steps: int = 3000
     batch_size: int = 32
     learning_rate: float = 0.02
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     aux_loss_weight: float = 1.0
     adapt: AdaptConfig | None = field(default_factory=AdaptConfig)
     seed: int = 0
@@ -421,20 +411,15 @@ class TrainConfig:
     n_layers: int = 1
     hidden: int = 16
     init_experts: int = 2
-    n_classes: int = 2
-    eval_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("steps", "batch_size", "eval_every", "n_layers", "hidden",
-                     "init_experts", "n_classes"):
+        for name in ("steps", "batch_size", "eval_every", "n_layers", "hidden", "init_experts"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigurationError("eval_fraction must be in (0, 1)")
 
 
 def check_adapt_bounds(init_experts: int, adapt: AdaptConfig) -> None:
@@ -491,8 +476,7 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, recording: bo
     if aux:
         diversity = sum(rep.diversity for rep in aux)
         simplicity = sum(rep.simplicity for rep in aux)
-        aux_report = AuxLossReport(diversity=diversity, simplicity=simplicity,
-                                   total=diversity + simplicity)
+        aux_report = AuxLossReport(diversity=diversity, simplicity=simplicity)
 
     opt.step(model.params())
     mean_k = float(np.add.reduce(k_values) / len(k_values))  # np.mean's order, not sum()'s
@@ -520,7 +504,7 @@ def log_eval(metrics: MetricsLog, step: int, model: MoeClassifier, accuracy, sta
         metrics.append(step, li, "avg_top_k", ps.mean_top_k)
         metrics.append(step, li, "topk_frequency", ps.topk_frequency)
         if _top_any(layer):
-            metrics.append(step, li, "gate_thresholds", gate_threshold_dump(layer.router))
+            metrics.append(step, li, "gate_thresholds", layer.router.g.value)
         metrics.append(step, li, "n_experts", float(layer.n_experts))
 
 
@@ -542,7 +526,7 @@ def split_task(task: SyntheticTask, cfg: TrainConfig):
     """Deterministic train/eval split driven by the config seed."""
     split_rng = np.random.default_rng([cfg.seed, task.generator_seed, 0x5EED])
     perm = split_rng.permutation(task.n_samples)
-    n_eval = max(1, int(task.n_samples * cfg.eval_fraction))
+    n_eval = max(1, int(task.n_samples * EVAL_FRACTION))
     return perm[n_eval:], perm[:n_eval]
 
 
@@ -551,7 +535,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
     model = MoeClassifier.random(cfg, new_router, rng)
     train_idx, eval_idx = split_task(task, cfg)
     eval_tokens, eval_labels = task.tokens[eval_idx], task.labels[eval_idx]
-    opt = make_optimizer(cfg)
+    opt = Adam(cfg.learning_rate)
 
     metrics = MetricsLog()
     k_traj = [(0, model.expert_counts())]

@@ -23,15 +23,10 @@ class AuxLossReport:
 
     diversity: float
     simplicity: float
-    total: float
 
-    def validate(self) -> None:
-        expected = self.diversity + self.simplicity
-        if not np.isclose(self.total, expected, rtol=0.0, atol=1e-12):
-            raise ValueError(f"total {self.total} != sum of components {expected}")
-        values = [self.diversity, self.simplicity, self.total]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite auxiliary loss component")
+    @property
+    def total(self) -> float:
+        return self.diversity + self.simplicity
 
 
 def diversity_simplicity_loss(w_g: Param, weight: float = 1.0) -> AuxLossReport:
@@ -67,4 +62,4 @@ def diversity_simplicity_loss(w_g: Param, weight: float = 1.0) -> AuxLossReport:
     np.add(grad, d_simplicity, out=grad, where=nonzero)
     w_g.accumulate(weight * grad)
 
-    return AuxLossReport(diversity=diversity, simplicity=simplicity, total=diversity + simplicity)
+    return AuxLossReport(diversity=diversity, simplicity=simplicity)

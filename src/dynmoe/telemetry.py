@@ -93,11 +93,6 @@ def expert_similarity_matrix(router: RouterParams) -> np.ndarray:
     return sim
 
 
-def gate_threshold_dump(router: RouterParams) -> np.ndarray:
-    """Raw per-expert threshold values (a lower value is easier to activate)."""
-    return router.g.value.copy()
-
-
 @dataclass
 class MetricsRow:
     step: int

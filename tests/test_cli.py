@@ -14,9 +14,8 @@ FULL_CONFIG = {
     "schema": "dynmoe-config/1",
     "task": {"n_skills": 3, "d": 12, "n_samples": 600, "seed": 5},
     "train": {"steps": 120, "batch_size": 16, "learning_rate": 0.01,
-              "optimizer": {"beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
               "aux_loss_weight": 0.5, "seed": 3, "eval_every": 40, "n_layers": 2,
-              "hidden": 8, "init_experts": 3, "n_classes": 3, "eval_fraction": 0.25},
+              "hidden": 8, "init_experts": 3},
     "adapt": {"max_experts": 6, "check_interval": 30, "record_window": [0.25, 0.75],
               "min_experts": 2},
     "router": {"kind": "topk", "n_experts": 4, "top_k": 2},
@@ -76,22 +75,22 @@ class TestConfig:
             parse_config_doc({"schema": "other/1"})
 
     # the keys of the deleted ablation options (train.combine,
-    # train.detach_router_tokens, train.optimizer.kind, adapt.init_strategy,
-    # plugins) fail as unknown keys rather than being ignored
+    # train.detach_router_tokens, adapt.init_strategy, plugins) fail as
+    # unknown keys rather than being ignored
     @pytest.mark.parametrize("doc, key", [
         ({"train": {"detach_router_tokens": False}}, r"train\.detach_router_tokens"),
         ({"train": {"steps": 20.9}}, r"train\.steps"),
         ({"train": {"steps": True}}, r"train\.steps"),
         ({"train": {"learning_rate": "0.1"}}, r"train\.learning_rate"),
         ({"train": {"combine": "mean"}}, r"train\.combine"),
-        ({"train": {"optimizer": {"beta1": [0.9]}}}, r"train\.optimizer\.beta1"),
+        ({"train": {"learning_rate": [0.1]}}, r"train\.learning_rate"),
         ({"train": {"adapt": {}}}, r"unknown key.*adapt"),
         ({"adapt": {"record_window": [0.5]}}, r"adapt\.record_window"),
         ({"adapt": {"max_experts": 0}}, r"adapt.*max_experts"),
         ({"plugins": []}, r"unknown top-level key.*plugins"),
-        ({"train": {"optimizer": {"kind": "adam"}}}, r"unknown key.*train\.optimizer\.kind"),
+        ({"adapt": {"kind": "paper"}}, r"unknown key.*adapt\.kind"),
         ({"adapt": {"init_strategy": "paper_rs"}}, r"unknown key.*adapt\.init_strategy"),
-        ({"train": {"optimizer": {"eps": True}}}, r"train\.optimizer\.eps"),
+        ({"train": {"learning_rate": True}}, r"train\.learning_rate"),
         ({"router": {"kind": "topk", "n_experts": 2, "top_k": 3}}, r"router.*top_k"),
         ({"sweep": {"top_k_grid": [1, 1.5]}}, r"sweep\.top_k_grid\[1\]"),
         ({"task": None}, r"task must be an object"),
@@ -127,7 +126,6 @@ class TestConfig:
             assert set(FULL_CONFIG[section]) == set(defaults[section])
             for key, value in defaults[section].items():
                 assert full[section][key] != value, (section, key)
-        assert set(FULL_CONFIG["train"]["optimizer"]) == set(defaults["train"]["optimizer"])
 
     def test_readme_defaults_block_is_the_default_snapshot(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -306,7 +304,8 @@ class TestCli:
                 assert snapshot[section][key] == value, dest
         assert json.loads((base / "config.snapshot").read_text())["router"]["kind"] == "topk"
 
-    @pytest.mark.parametrize("flag", [["--combine", "mean"], ["--init-strategy", "paper_rs"]])
+    @pytest.mark.parametrize("flag", [["--combine", "mean"], ["--init-strategy", "paper_rs"],
+                                      ["--config", "c.json"]])
     def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path / "c.json")
         with pytest.raises(SystemExit) as exc:
@@ -317,7 +316,7 @@ class TestCli:
 
     def test_readme_useful_flags_are_the_train_options(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        # the "Useful flags" sentence and the one naming --config after it
+        # the "Useful flags" sentence
         text = readme.split("Useful flags: ", 1)[1].split("Each flag writes", 1)[0]
         named = set(re.findall(r"`(--[a-z-]+)", text))
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -342,11 +341,18 @@ class TestCli:
         # a starting K outside the adapt bounds fails before the first adapt
         ("train", {"train": {"init_experts": 8, "steps": 400}, "adapt": {"max_experts": 4}}),
         ("sweep", {"train": {"init_experts": 1}, "adapt": {"min_experts": 2}}),
+        # removed keys are unknown keys; n_classes 1 used to fail at the first step
+        ("train", {"train": {"n_classes": 1}}),
+        ("train", {"train": {"eval_fraction": 0.5}}),
+        ("train", {"train": {"optimizer": {"beta1": 0.9}}}),
     ])
     def test_bad_section_exits_before_the_run(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path / "c.json", **section)
         assert main([command, str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for key in {"n_classes", "eval_fraction", "optimizer"} & set(section.get("train", {})):
+            assert f"unknown key(s): ['train.{key}']" in err
         assert not (tmp_path / "r").exists()
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):

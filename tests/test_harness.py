@@ -11,6 +11,7 @@ from dynmoe import harness
 from dynmoe.adaptive import AdaptConfig, adapt
 from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.harness import (
+    N_CLASSES,
     Adam,
     MoeClassifier,
     SyntheticTask,
@@ -27,7 +28,6 @@ from dynmoe.harness import (
     split_task,
     train_loop,
     train_step,
-    make_optimizer,
 )
 from dynmoe import moe_layer
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_backward, moe_forward
@@ -355,9 +355,8 @@ class TestOptimizers:
         # Adam is the only optimizer: a config that asks for another one is
         # refused rather than trained with Adam
         for kind in ("sgd", "rmsprop"):
-            with pytest.raises(ConfigError, match=r"unknown key.*train\.optimizer\.kind"):
+            with pytest.raises(ConfigError, match=r"unknown key.*train\.optimizer"):
                 parse_config_doc({"train": {"optimizer": {"kind": kind}}})
-        assert type(make_optimizer(TrainConfig())) is Adam
 
 
 class TestFlatAdamMatchesReference:
@@ -526,7 +525,7 @@ class TestTrainStep:
         batch = (task.tokens[:16], task.labels[:16])
         logits, _, _ = model.forward(batch[0], mode="train")
         want_loss, _ = softmax_cross_entropy(logits, batch[1])
-        stats = train_step(model, batch, cfg, make_optimizer(cfg), False)
+        stats = train_step(model, batch, cfg, Adam(cfg.learning_rate), False)
         assert abs(stats.task_loss - want_loss) < 1e-12
 
     def test_aux_matches_standalone_losses_module(self):
@@ -537,7 +536,7 @@ class TestTrainStep:
         rng = np.random.default_rng(cfg.seed)
         model = dynmoe_model(task.d, cfg, rng)
         w_snapshot = Param(model.layers[0].router.w_g.value.copy())
-        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, make_optimizer(cfg), False)
+        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, Adam(cfg.learning_rate), False)
         want = diversity_simplicity_loss(w_snapshot)
         assert abs(stats.aux.diversity - want.diversity) < 1e-12
         assert abs(stats.aux.simplicity - want.simplicity) < 1e-12
@@ -554,7 +553,7 @@ class TestTrainStep:
         task = gen_task(**asdict(spec.task))
         cfg = spec.train
         model = dynmoe_model(task.d, cfg, np.random.default_rng(cfg.seed))
-        opt = make_optimizer(cfg)
+        opt = Adam(cfg.learning_rate)
 
         def banned(*args, **kwargs):
             raise AssertionError("numpy wrapper called on the step path")
@@ -623,11 +622,11 @@ class TestModelBackward:
     forward point's decision; a top-k layer through its own forward, with a
     selection margin that no probe can close."""
 
-    D, N_CLASSES = 4, 2
+    D = 4
 
     def build(self, seed, n_layers, router, state):
         rng = np.random.default_rng(seed)
-        cfg = TrainConfig(n_layers=n_layers, hidden=5, init_experts=3, n_classes=self.N_CLASSES,
+        cfg = TrainConfig(n_layers=n_layers, hidden=5, init_experts=3,
                           adapt=AdaptConfig(max_experts=4))
         if router == "topk":
             return topk_model(self.D, cfg, 3, 2, rng), rng
@@ -655,7 +654,7 @@ class TestModelBackward:
         assume(router == "dynmoe" or state == "fresh")
         model, rng = self.build(seed, n_layers, router, state)
         tokens = rng.standard_normal((10, self.D))
-        coeff = rng.standard_normal((10, self.N_CLASSES))
+        coeff = rng.standard_normal((10, N_CLASSES))
         _, caches, h_final = model.forward(tokens, mode="train")
         if router == "topk":
             for _, decision in caches:
@@ -710,7 +709,7 @@ class TestPairwiseDispatch:
         n_served = int((decision.k > 0).sum())
         assert 0 < decision.k.sum() < n_served * 4
         rows = self.count_rows(monkeypatch)
-        train_step(model, (tokens, labels), cfg, make_optimizer(cfg), False)
+        train_step(model, (tokens, labels), cfg, Adam(cfg.learning_rate), False)
         assert rows["backward"] == decision.k.sum()
         # activated pairs plus the non-activated pairs of served tokens
         assert rows["forward"] == n_served * 4
@@ -737,7 +736,7 @@ class TestPairwiseDispatch:
 
         monkeypatch.setattr(ExpertMlp, "backward", backward)
         monkeypatch.setattr(moe_layer, "erf", erf)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg), False)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), False)
         assert rows["forward"] > 0 and rows["backward"] > 0
         assert erf_elements == {"forward": rows["forward"] * cfg.hidden, "backward": 0}
 
@@ -767,7 +766,7 @@ class TestPairwiseDispatch:
         cfg = small_cfg(adapt=None)
         model = topk_model(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
         rows = self.count_rows(monkeypatch)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, make_optimizer(cfg), False)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), False)
         assert rows == {"forward": 32 * 2, "backward": 32 * 2}
 
 

@@ -23,7 +23,7 @@ class TestDiversitySimplicity:
         assert abs(report.diversity) < 1e-12
         assert abs(report.simplicity - 1.0) < 1e-12
         assert abs(report.total - 1.0) < 1e-12
-        report.validate()
+        assert report.total == report.diversity + report.simplicity
 
     def test_zero_matrix(self):
         w = Param(np.zeros((4, 3)))
@@ -96,6 +96,7 @@ class TestDiversitySimplicity:
         assert diversity_simplicity_loss(Param(w2)).diversity > 1e-3
 
     def test_report_invariant_enforced(self):
-        bad = AuxLossReport(diversity=1.0, simplicity=1.0, total=3.0)
-        with pytest.raises(ValueError):
-            bad.validate()
+        # the total is derived, so a report cannot disagree with itself
+        with pytest.raises(TypeError):
+            AuxLossReport(diversity=1.0, simplicity=1.0, total=3.0)
+        assert AuxLossReport(diversity=1.0, simplicity=0.5).total == 1.5

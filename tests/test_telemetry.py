@@ -1,14 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from dynmoe.harness import MoeClassifier, TrainConfig, evaluate, log_eval
 from dynmoe.numerics import DegenerateInputError, Param
 from dynmoe.router import GatingDecision, RouterParams, route_eval
-from dynmoe.telemetry import (
-    MetricsLog,
-    PassStats,
-    expert_similarity_matrix,
-    gate_threshold_dump,
-)
+from dynmoe.telemetry import MetricsLog, PassStats, expert_similarity_matrix
 
 
 def decision_from_mask(mask, sig_s=None):
@@ -107,13 +105,18 @@ class TestSimilarityMatrix:
             expert_similarity_matrix(router)
 
 
-class TestGateThresholdDump:
-    def test_returns_copy_of_values(self, rng):
-        router = RouterParams(w_g=Param(rng.standard_normal((4, 3))), g=Param(np.array([0.0, 0.5, -0.2])))
-        dump = gate_threshold_dump(router)
-        np.testing.assert_array_equal(dump, [0.0, 0.5, -0.2])
-        dump[0] = 9.0
-        assert router.g.value[0] == 0.0
+class TestLogEval:
+    def test_logged_thresholds_are_a_copy(self, rng):
+        model = MoeClassifier.random(TrainConfig(hidden=4), partial(RouterParams.random, 4, 3), rng)
+        g = model.layers[0].router.g
+        g.value[:] = [0.0, 0.5, -0.2]
+        tokens = rng.standard_normal((8, 4))
+        accuracy, stats, _ = evaluate(model, tokens, np.zeros(8, dtype=np.int64))
+        metrics = MetricsLog()
+        log_eval(metrics, 1, model, accuracy, stats)
+        g.value[0] = 9.0  # an update after the row was logged
+        (row,) = [r for r in metrics.rows if r.metric == "gate_thresholds"]
+        assert row.values == (0.0, 0.5, -0.2)
 
 
 class TestMetricsLog:

@@ -42,6 +42,12 @@ RUNS = (
     ("window_edges", {"train": {"steps": 250},
                       "adapt": {"check_interval": 7, "record_window": [0.0, 1.0]}}, ["train"]),
     ("no_adapt", {"adapt": None}, ["train"]),
+    # the benchmark's mid-adaptive sizes: BLAS takes other kernels past d=16
+    # and batch 32
+    ("mid_adaptive", {"task": {"n_skills": 8, "d": 64, "n_samples": 8000, "seed": 7},
+                      "train": {"steps": 300, "batch_size": 256, "hidden": 64,
+                                "init_experts": 8, "eval_every": 100},
+                      "adapt": {"max_experts": 16, "check_interval": 100}}, ["train"]),
 )
 
 # one BLAS thread on both sides; no __pycache__ written into the trees

@@ -37,6 +37,8 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         check_task_args(self.n_skills, self.d, self.n_samples, self.seed)
+        if self.n_samples < 2:  # the split holds out one row and trains on the rest
+            raise ConfigurationError("n_samples must be at least 2")
 
 
 @dataclass

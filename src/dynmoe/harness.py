@@ -22,29 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptConfig, adapt, record
+from .adaptive import AdaptConfig, RoutingRecord, adapt, record
 from .losses import AuxLossReport, diversity_simplicity_loss
-from .moe_layer import (
-    LAYER_SCHEMA,
-    TOPK_LAYER_SCHEMA,
-    MoeLayer,
-    layer_from_doc,
-    layer_to_doc,
-    moe_backward,
-    moe_forward,
-)
+from .moe_layer import EXPERT_TENSORS, ExpertMlp, MoeLayer, moe_backward, moe_forward
 from .numerics import ConfigurationError, DivergenceError, Param
 from .router import RouterParams, TopKRouter
 from .telemetry import MetricsLog, PassStats, expert_similarity_matrix
-
-MODEL_SCHEMA = "dynmoe-model/1"
-# DynMoE checkpoints name their combine; the mean is the only one there is.
-CHECKPOINT_COMBINE = "mean"
-# The model-level fields of a checkpoint, by the schema of its layers.
-MODEL_FIELDS = {
-    LAYER_SCHEMA: {"kind": "dynmoe", "combine": CHECKPOINT_COMBINE},
-    TOPK_LAYER_SCHEMA: {"kind": "topk"},
-}
 
 # gen_task builds tokens this many rows at a time (the rows do not depend on
 # it), and lets the exact projection decide a draw this close to a decision.
@@ -612,41 +595,67 @@ def run_baseline(task: SyntheticTask, cfg: TrainConfig, n_experts: int, top_k: i
 
 
 # --- model checkpointing -----------------------------------------------------
+#
+# A checkpoint is one JSON document holding every tensor once, keyed by its
+# Param name: {"schema", "w_out", "b_out", "layers"}, where each layer is
+# {"w_g", "g", "w1", "b1", "w2", "b2"} for a top-any router and
+# {"w_g", "top_k", "w1", "b1", "w2", "b2"} for a top-k one. The expert
+# tensors stay stacked, one slot per expert. Float repr round-trips
+# bit-exactly. Sizes and the router kind are read from the tensors and keys.
+
+MODEL_SCHEMA = "dynmoe-model/2"
+
 
 def model_to_doc(model: MoeClassifier) -> dict:
-    layers = [layer_to_doc(layer) for layer in model.layers]
-    return {
-        "schema": MODEL_SCHEMA,
-        **MODEL_FIELDS[layers[0]["schema"]],
-        "head_w": model.w_out.value.tolist(),
-        "head_b": model.b_out.value.tolist(),
-        "layers": layers,
-    }
+    layers = []
+    for layer in model.layers:
+        doc = {p.name: p.value.tolist() for p in layer.params()}
+        if not _top_any(layer):
+            doc["top_k"] = layer.router.top_k
+        layers.append(doc)
+    return {"schema": MODEL_SCHEMA, "w_out": model.w_out.value.tolist(),
+            "b_out": model.b_out.value.tolist(), "layers": layers}
+
+
+def _layer_from_doc(doc: dict) -> MoeLayer:
+    """The layer ``model_to_doc`` wrote, checked by ``MoeLayer.validate``."""
+    routers = {"g", "top_k"} & doc.keys()
+    if len(routers) != 1:
+        raise ValueError(f"a layer holds exactly one of 'g' (top-any) and 'top_k' (top-k), "
+                         f"got keys {sorted(doc)}")
+    keys = {"w_g", *routers, *EXPERT_TENSORS}
+    if doc.keys() != keys:
+        raise ValueError(f"layer keys {sorted(doc)}, expected {sorted(keys)}")
+    w_g = Param(doc["w_g"], name="w_g")
+    if "g" in doc:
+        router = RouterParams(w_g=w_g, g=Param(doc["g"], name="g"))
+    else:
+        router = TopKRouter(w_g=w_g, top_k=doc["top_k"])
+    experts = ExpertMlp.from_arrays(*(doc[name] for name in EXPERT_TENSORS))
+    return MoeLayer(router=router, experts=experts,
+                    record=RoutingRecord.fresh(router.n_experts, router.dim))
 
 
 def model_from_doc(doc: dict) -> MoeClassifier:
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
-    kind = doc["kind"]
-    schemas = {fields["kind"]: schema for schema, fields in MODEL_FIELDS.items()}
-    if kind not in schemas:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if doc.get("combine", CHECKPOINT_COMBINE) != CHECKPOINT_COMBINE:
-        raise ValueError(f"unsupported combine {doc['combine']!r}, expected {CHECKPOINT_COMBINE!r}")
+    keys = {"schema", "w_out", "b_out", "layers"}
+    if doc.keys() != keys:
+        raise ValueError(f"model keys {sorted(doc)}, expected {sorted(keys)}")
     if not doc["layers"]:
         raise ValueError("a model needs at least one layer")
-    head_w, head_b = np.array(doc["head_w"]), np.array(doc["head_b"])
-    if head_w.ndim != 2 or head_b.shape != head_w.shape[1:]:
-        raise ValueError(f"head_w of shape {head_w.shape} does not fit head_b of shape {head_b.shape}")
-    dims = [layer_doc["d"] for layer_doc in doc["layers"]]
-    if any(d != head_w.shape[0] for d in dims):
-        raise ValueError(f"layer dims {dims} do not match the {head_w.shape[0]} rows of head_w")
-    for layer_doc in doc["layers"]:
-        if layer_doc.get("schema") != schemas[kind]:
-            raise ValueError(f"unsupported layer schema {layer_doc.get('schema')!r} "
-                             f"in a {kind!r} model")
-    layers = [layer_from_doc(layer_doc) for layer_doc in doc["layers"]]
-    return MoeClassifier(layers, Param(head_w, name="w_out"), Param(head_b, name="b_out"))
+    w_out, b_out = Param(doc["w_out"], name="w_out"), Param(doc["b_out"], name="b_out")
+    if w_out.value.ndim != 2 or b_out.shape != w_out.shape[1:]:
+        raise ValueError(f"w_out of shape {w_out.shape} does not fit b_out of shape {b_out.shape}")
+    layers = [_layer_from_doc(layer_doc) for layer_doc in doc["layers"]]
+    dims = [layer.d for layer in layers]
+    if any(d != w_out.shape[0] for d in dims):
+        raise ValueError(f"layer dims {dims} do not match the {w_out.shape[0]} rows of w_out")
+    model = MoeClassifier(layers, w_out, b_out)
+    for p in model.params():
+        if not np.isfinite(p.value).all():
+            raise ValueError(f"non-finite value in {p.name}")
+    return model
 
 
 def save_model(model: MoeClassifier, path) -> None:

@@ -50,8 +50,6 @@ from .router import route_eval, route_top_any, route_top_any_backward  # noqa: F
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-LAYER_SCHEMA = "dynmoe-layer/1"
-TOPK_LAYER_SCHEMA = "dynmoe-topk-layer/1"
 EXPERT_TENSORS = ("w1", "b1", "w2", "b2")
 
 
@@ -144,18 +142,28 @@ class ExpertMlp:
 @dataclass(eq=False)
 class MoeLayer:
     """Router, experts and routing record; the unit the adaptive process
-    resizes. Only a top-any router records and adapts."""
+    resizes. Only a top-any router records and adapts. The token dimension
+    ``d`` and the hidden width ``h`` are read from the router and the
+    experts' ``w1``."""
 
     router: RouterParams | TopKRouter
     experts: ExpertMlp
     record: RoutingRecord
-    d: int
-    h: int
 
     def __post_init__(self) -> None:
         self.validate()
 
+    @property
+    def d(self) -> int:
+        return self.router.dim
+
+    @property
+    def h(self) -> int:
+        return self.experts.w1.shape[2]
+
     def validate(self) -> None:
+        if self.experts.w1.value.ndim != 3:
+            raise DimensionError(f"w1 must be 3-d, got shape {self.experts.w1.shape}")
         self.router.validate()
         k = self.router.n_experts
         if self.experts.n_experts != k:
@@ -167,10 +175,10 @@ class MoeLayer:
                 f"routing record tracks {self.record.r_e.shape[0]} experts, layer has {k}"
             )
         d, h = self.d, self.h
-        if self.router.dim != d:
-            raise DimensionError(f"router columns of dim {self.router.dim} in a layer of d={d}")
-        if [p.shape for p in self.experts.params()] != [(k, d, h), (k, h), (k, h, d), (k, d)]:
-            raise DimensionError("expert tensor shapes inconsistent with layer dims")
+        shapes = [p.shape for p in self.experts.params()]
+        if shapes != [(k, d, h), (k, h), (k, h, d), (k, d)]:
+            raise DimensionError(f"expert tensor shapes {shapes} do not fit d={d} (router "
+                                 f"columns), h={h} (w1 columns) and {k} experts")
 
     @property
     def n_experts(self) -> int:
@@ -187,7 +195,7 @@ class MoeLayer:
         """``router`` and one random expert per router column, drawn from ``rng``."""
         d, k = router.dim, router.n_experts
         return cls(router=router, experts=ExpertMlp.random(d, hidden, k, rng),
-                   record=RoutingRecord.fresh(k, d), d=d, h=hidden)
+                   record=RoutingRecord.fresh(k, d))
 
     def params(self) -> list[Param]:
         return [*self.router.params(), *self.experts.params()]
@@ -337,47 +345,3 @@ def moe_backward(
                 dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
     d_tokens += layer.router.backward(decision, weights, dots, tokens)
     return d_tokens
-
-
-def experts_to_doc(experts: ExpertMlp) -> list[dict]:
-    """Checkpoint form of the experts, one entry per expert; float repr
-    round-trips bit-exactly."""
-    return [{p.name: p.value[e].tolist() for p in experts.params()}
-            for e in range(experts.n_experts)]
-
-
-def experts_from_doc(docs: list[dict]) -> ExpertMlp:
-    return ExpertMlp.from_arrays(*(np.array([doc[name] for doc in docs]) for name in EXPERT_TENSORS))
-
-
-def layer_to_doc(layer: MoeLayer) -> dict:
-    """Checkpoint form of a layer: ``LAYER_SCHEMA`` for a top-any router,
-    ``TOPK_LAYER_SCHEMA`` for a top-k one."""
-    router = layer.router
-    doc = {"d": layer.d, "h": layer.h, "w_g": router.w_g.value.tolist(),
-           "experts": experts_to_doc(layer.experts)}
-    if isinstance(router, TopKRouter):
-        doc.update(schema=TOPK_LAYER_SCHEMA, top_k=router.top_k)
-    else:
-        doc.update(schema=LAYER_SCHEMA, n_experts=layer.n_experts, g=router.g.value.tolist())
-    return doc
-
-
-def layer_from_doc(doc: dict) -> MoeLayer:
-    """The layer ``layer_to_doc`` wrote, checked by ``MoeLayer.validate``."""
-    schema = doc.get("schema")
-    if schema not in (LAYER_SCHEMA, TOPK_LAYER_SCHEMA):
-        raise ValueError(f"unsupported layer schema {schema!r}")
-    w_g = Param(np.array(doc["w_g"]), name="w_g")
-    if schema == LAYER_SCHEMA:
-        router = RouterParams(w_g=w_g, g=Param(np.array(doc["g"]), name="g"))
-    else:
-        router = TopKRouter(w_g=w_g, top_k=doc["top_k"])
-    experts = experts_from_doc(doc["experts"])
-    return MoeLayer(
-        router=router,
-        experts=experts,
-        record=RoutingRecord.fresh(experts.n_experts, doc["d"]),
-        d=doc["d"],
-        h=doc["h"],
-    )

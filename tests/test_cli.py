@@ -1,6 +1,7 @@
 import argparse
 import json
 import hashlib
+import math
 import re
 from pathlib import Path
 
@@ -24,6 +25,16 @@ FULL_CONFIG = {
 
 # a top-k run with K = 3
 TOPK_ROUTER = {"router": {"kind": "topk", "n_experts": 3, "top_k": 2}}
+
+
+def with_layer(doc, **fields):
+    """The edit of a one-layer checkpoint ``doc`` that sets ``fields`` of its layer."""
+    return {"layers": [{**doc["layers"][0], **fields}]}
+
+
+def first_set(x, value):
+    """A copy of the nested list ``x`` with its first number set to ``value``."""
+    return [first_set(x[0], value), *x[1:]] if isinstance(x, list) else value
 
 
 def write_config(path: Path, **over):
@@ -102,6 +113,7 @@ class TestConfig:
         ({"sweep": {"n_experts_grid": [2], "top_k_grid": [3]}}, r"sweep: .*\[\(2, 3\)\]"),
         ({"sweep": {"n_experts_grid": [4, 1], "top_k_grid": [2]}}, r"sweep: .*\[\(1, 2\)\]"),
         ({"sweep": {"top_k_grid": [0]}}, r"sweep: .*\[\(2, 0\), \(4, 0\), \(8, 0\)\]"),
+        ({"task": {"n_samples": 1}}, r"task: n_samples must be at least 2"),
     ])
     def test_bad_value_names_its_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
@@ -204,22 +216,25 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message, router", [
-        (lambda doc: {"kind": "bogus"}, "unknown model kind 'bogus'", {}),
         (lambda doc: {"layers": []}, "at least one layer", {}),
-        (lambda doc: {"head_b": [0.0, 0.0, 0.0]}, "does not fit head_b of shape (3,)", {}),
-        (lambda doc: {"head_w": [[0.0, 0.0]] * 8}, "layer dims [16] do not match the 8 rows of head_w",
-         {}),
-        (lambda doc: {"layers": [{**doc["layers"][0], "w_g": doc["layers"][0]["w_g"][:8]}]},
-         "router columns of dim 8 in a layer of d=16", {}),
-        (lambda doc: {"combine": "weighted"}, "unsupported combine 'weighted'", {}),
-        (lambda doc: {"layers": [{**doc["layers"][0], "top_k": 9}]}, "top_k 9 not in [1, 3]",
+        (lambda doc: {"b_out": [0.0, 0.0, 0.0]}, "does not fit b_out of shape (3,)", {}),
+        (lambda doc: {"w_out": [[0.0, 0.0]] * 8},
+         "layer dims [16] do not match the 8 rows of w_out", {}),
+        (lambda doc: with_layer(doc, w_g=doc["layers"][0]["w_g"][:8]), "do not fit d=8", {}),
+        (lambda doc: with_layer(doc, top_k=9), "top_k 9 not in [1, 3]", TOPK_ROUTER),
+        (lambda doc: with_layer(doc, b1=[row[:-1] for row in doc["layers"][0]["b1"]]),
+         "(3, 15), (3, 16, 16), (3, 16)] do not fit d=16 (router columns), h=16", TOPK_ROUTER),
+        (lambda doc: {"schema": "dynmoe-model/1"}, "unsupported model schema 'dynmoe-model/1'", {}),
+        (lambda doc: with_layer(doc, g=[0.0, 0.0, 0.0]), "exactly one of 'g' (top-any) and 'top_k'",
          TOPK_ROUTER),
-        (lambda doc: {"layers": [{**doc["layers"][0], "h": 3}]},
-         "expert tensor shapes inconsistent with layer dims", TOPK_ROUTER),
-        (lambda doc: {"kind": "dynmoe"}, "unsupported layer schema 'dynmoe-topk-layer/1'",
-         TOPK_ROUTER),
-    ], ids=["kind", "no_layers", "head_b", "head_w_rows", "w_g_rows", "combine", "topk_top_k",
-            "topk_h", "topk_kind"])
+        (lambda doc: with_layer(doc, n_experts=99), "layer keys ['b1', 'b2', 'g', 'n_experts'", {}),
+        (lambda doc: with_layer(doc, w_g=first_set(doc["layers"][0]["w_g"], math.nan)),
+         "non-finite value in w_g", {}),
+        (lambda doc: {"w_out": first_set(doc["w_out"], math.inf)}, "non-finite value in w_out", {}),
+        (lambda doc: with_layer(doc, w1=first_set(doc["layers"][0]["w1"], math.nan)),
+         "non-finite value in w1", {}),
+    ], ids=["no_layers", "head_b", "head_w_rows", "w_g_rows", "topk_top_k", "topk_h", "old_schema",
+            "g_and_top_k", "unknown_key", "nan_w_g", "inf_w_out", "nan_w1"])
     def test_eval_inconsistent_checkpoint_is_an_error(self, tmp_path, capsys, edit, message,
                                                       router):
         cfg = tmp_path / "c.json"
@@ -279,7 +294,7 @@ class TestCli:
         out = tmp_path / "tk"
         assert main(["train", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "checkpoint.final").read_text())
-        assert doc["kind"] == "topk"
+        assert [layer["top_k"] for layer in doc["layers"]] == [1]
 
     def test_weighted_combine_flag(self, tmp_path):
         # every flag must reach config.snapshot; the file sets router.kind

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
 from dynmoe.harness import (
+    CheckpointError,
     MoeClassifier,
     activated_params_total,
     load_model,
+    model_to_doc,
     save_model,
 )
 from dynmoe.moe_layer import (
@@ -15,8 +19,6 @@ from dynmoe.moe_layer import (
     MoeLayer,
     gelu,
     gelu_grad,
-    layer_from_doc,
-    layer_to_doc,
     moe_backward,
     moe_forward,
 )
@@ -37,8 +39,6 @@ def layer_with_router(rng, w, g, d, h):
         router=RouterParams(w_g=Param(w), g=Param(g)),
         experts=ExpertMlp.random(d, h, n_experts, rng),
         record=RoutingRecord.fresh(n_experts, d),
-        d=d,
-        h=h,
     )
 
 
@@ -136,8 +136,6 @@ class TestMoeForward:
             ),
             experts=ExpertMlp.from_arrays(*(p.value[perm] for p in layer.experts.params())),
             record=RoutingRecord.fresh(4, layer.d),
-            d=layer.d,
-            h=layer.h,
         )
         out_perm, _ = moe_forward(permuted, tokens)
         assert rel_err(out_perm, out) < 1e-12
@@ -434,9 +432,54 @@ class TestCheckpoint:
         for p, q in zip(restored.experts.params(), layer.experts.params()):
             np.testing.assert_array_equal(p.value, q.value)
 
-    def test_unknown_schema_rejected(self, rng):
-        layer = build_layer(rng)
-        doc = layer_to_doc(layer)
-        doc["schema"] = "other/9"
-        with pytest.raises(ValueError):
-            layer_from_doc(doc)
+    def test_unknown_schema_rejected(self, rng, tmp_path):
+        doc = model_to_doc(one_layer_model(build_layer(rng), rng))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, "schema": "dynmoe-model/1"}))
+        with pytest.raises(CheckpointError, match="unsupported model schema 'dynmoe-model/1'"):
+            load_model(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(router=st.sampled_from(["top_any", "topk"]), n_layers=st.integers(1, 2),
+           d=st.integers(2, 6), h=st.integers(1, 8), n_experts=st.integers(2, 4),
+           adapted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(router="top_any", n_layers=2, d=4, h=7, n_experts=3, adapted=True, seed=0)
+    @example(router="topk", n_layers=2, d=5, h=3, n_experts=3, adapted=False, seed=1)
+    @example(router="top_any", n_layers=1, d=3, h=5, n_experts=2, adapted=False, seed=2)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, router, n_layers, d, h, n_experts,
+                                     adapted, seed):
+        """Every Param and the eval logits survive save/load bit for bit,
+        for both routers, fresh or after an adapt that removes expert 0 and
+        appends one (top-any layers only adapt); each written layer holds
+        exactly the documented keys."""
+        rng = np.random.default_rng(seed)
+        layers = [layer_of(router, d, h, n_experts, rng) for _ in range(n_layers)]
+        model = MoeClassifier(layers, Param(rng.standard_normal((d, 2)), name="w_out"),
+                              Param(rng.standard_normal(2), name="b_out"))
+        if adapted and router == "top_any":
+            for layer in layers:
+                layer.record.r_e[1:] = 1
+                layer.record.r_s[:] = rng.standard_normal(d)
+                report = adapt(layer, layer.record, AdaptConfig(max_experts=n_experts), rng)
+                assert report.removed_experts == [0] and report.added
+        path = tmp_path_factory.mktemp("ckpt") / "model.json"
+        save_model(model, path)
+        restored = load_model(path)
+
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"schema", "w_out", "b_out", "layers"}
+        assert doc["schema"] == "dynmoe-model/2"
+        router_key = "g" if router == "top_any" else "top_k"
+        for layer_doc in doc["layers"]:
+            assert set(layer_doc) == {"w_g", router_key, "w1", "b1", "w2", "b2"}
+
+        for got, want in zip(restored.layers, layers):
+            assert type(got.router) is type(want.router)
+            assert getattr(got.router, "top_k", None) == getattr(want.router, "top_k", None)
+        assert [(p.name, p.shape) for p in restored.params()] == \
+            [(p.name, p.shape) for p in model.params()]
+        for p, q in zip(restored.params(), model.params()):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
+        tokens = rng.standard_normal((13, d))
+        want = model.forward(tokens, mode="eval")[0]
+        assert restored.forward(tokens, mode="eval")[0].tobytes() == want.tobytes()

@@ -35,7 +35,7 @@ record(layer.record, decision, cluster)
 print(f"routing record: r_e={layer.record.r_e.tolist()}  "
       f"|r_s|={np.linalg.norm(layer.record.r_s):.2f}")
 
-report = adapt(layer, layer.record, AdaptConfig(max_experts=8, min_experts=1), rng)
+report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
 print(f"\nadapt: removed {report.removed_experts} (never activated, clamped to "
       f"keep at least 1), added one expert -> {report.new_k_total} experts")
 
@@ -51,7 +51,7 @@ probe = center[None, :] + 0.05 * rng.standard_normal((20, D))
 before_out, probe_dec = moe_forward(layer, probe)
 layer.record.start()
 record(layer.record, probe_dec, probe)
-report = adapt(layer, layer.record, AdaptConfig(max_experts=8, min_experts=1), rng)
+report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
 after_out, _ = moe_forward(layer, probe)
 print(f"\npruning pass removed {report.removed_experts}; probe outputs moved by "
       f"{np.max(np.abs(after_out - before_out)):.1e} (exactly zero expected)")

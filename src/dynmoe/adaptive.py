@@ -74,13 +74,10 @@ class AdaptConfig:
     max_experts: int = 16
     check_interval: int = 100
     record_window: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
-    min_experts: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_experts <= self.max_experts:
-            raise ConfigurationError(
-                f"need 1 <= min_experts <= max_experts, got {self.min_experts}, {self.max_experts}"
-            )
+        if self.max_experts < 1:
+            raise ConfigurationError(f"max_experts must be positive, got {self.max_experts}")
         if self.check_interval < 1:
             raise ConfigurationError("check_interval must be positive")
         start, end = self.record_window
@@ -95,7 +92,7 @@ class AdaptReport:
     removed_experts: list[int] = field(default_factory=list)
     added: bool = False
     new_k_total: int = 0
-    clamped: bool = False  # removal was limited by min_experts
+    clamped: bool = False  # every expert went unused; the lowest-index one was kept
 
     def to_dict(self) -> dict:
         return {
@@ -110,8 +107,8 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
     """Remove never-activated experts, then add one if tokens went unserved.
 
     Removal first: every expert with a zero activation count is deleted
-    (its representation column, threshold and weights), keeping at least
-    ``cfg.min_experts`` (the lowest-index candidates survive a clamp).
+    (its representation column, threshold and weights), except that when
+    every expert went unused the lowest-index one is kept.
     Then, if the record holds unserved-token mass and there is room under
     ``cfg.max_experts``, one expert is appended with representation column
     r_s / |r_s|, threshold 0 and MLP weights drawn from ``rng`` as
@@ -122,14 +119,10 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
     n_before = layer.n_experts
     report = AdaptReport(new_k_total=n_before)
 
-    candidates = [e for e in range(n_before) if rec.r_e[e] == 0]
-    removable = n_before - cfg.min_experts
-    if len(candidates) > removable:
+    removed = [e for e in range(n_before) if rec.r_e[e] == 0]
+    if len(removed) == n_before:
         report.clamped = True
-        n_drop = max(removable, 0)
-        removed = candidates[len(candidates) - n_drop:]
-    else:
-        removed = candidates
+        removed = removed[1:]
     keep = [e for e in range(n_before) if e not in removed]
     if removed:
         for p, axis in layer.expert_indexed():
@@ -146,7 +139,7 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
 
     report.new_k_total = layer.n_experts
     assert report.new_k_total == n_before - len(report.removed_experts) + int(report.added)
-    assert cfg.min_experts <= report.new_k_total <= cfg.max_experts
+    assert 1 <= report.new_k_total <= cfg.max_experts
 
     rec.r_e = np.zeros(report.new_k_total, dtype=np.int64)
     rec.r_s = np.zeros_like(rec.r_s)

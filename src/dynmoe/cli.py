@@ -12,8 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import logging
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,8 +34,6 @@ from .harness import (
 )
 from .telemetry import MetricsLog
 
-log = logging.getLogger("dynmoe")
-
 ADAPT_JSONL_SCHEMA = "dynmoe-adapt/1"
 ARTIFACTS_SCHEMA = "dynmoe-artifacts/1"
 REPORT_SCHEMA = "dynmoe-report/1"
@@ -52,12 +48,6 @@ FLAG_KEYS = {
     "K": ("router", "n_experts"),
     "k": ("router", "top_k"),
 }
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("DYNMOE_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def write_run_dir(outdir: Path, spec_doc: dict, result: RunResult) -> None:
@@ -240,7 +230,6 @@ def cmd_sweep(args) -> int:
             result = run_baseline(task, spec.train, n_experts, top_k)
             rows.append(["topk", n_experts, top_k, repr(result.mean_k),
                          repr(result.final_accuracy), repr(result.activated_params)])
-            log.info("baseline K=%d k=%d accuracy=%.4f", n_experts, top_k, result.final_accuracy)
     dyn = train_loop(task, spec.train)
     rows.append(["dynmoe", sum(dyn.k_trajectory[-1][1]), "", repr(dyn.mean_k),
                  repr(dyn.final_accuracy), repr(dyn.activated_params)])
@@ -301,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -41,6 +41,11 @@ _PROJ_GUARD = 1e-9
 # out this share of a task's rows for evaluation.
 N_CLASSES = 2
 EVAL_FRACTION = 0.2
+# gen_task draws each token's cosine to its skill direction uniformly from
+# ALIGN_RANGE, and its noise until the projection on the rule clears
+# LABEL_MARGIN.
+ALIGN_RANGE = (0.90, 0.98)
+LABEL_MARGIN = 0.15
 
 
 @dataclass
@@ -68,9 +73,9 @@ class SyntheticTask:
         return self.tokens.shape[0]
 
 
-def check_task_args(n_skills: int, d: int, n_samples: int, seed: int, align_range=None, label_margin=None) -> None:
+def check_task_args(n_skills: int, d: int, n_samples: int, seed: int) -> None:
     """Raise ``ConfigurationError`` unless :func:`gen_task` can build a task
-    from these arguments (the optional ones are checked when given)."""
+    from these arguments."""
     if n_skills < 1:
         raise ConfigurationError("need at least one skill")
     if n_skills + 2 > d:
@@ -82,10 +87,6 @@ def check_task_args(n_skills: int, d: int, n_samples: int, seed: int, align_rang
         raise ConfigurationError("n_samples must be positive")
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")
-    if align_range is not None and not 0.0 < align_range[0] < align_range[1] < 1.0:
-        raise ConfigurationError(f"align_range must satisfy 0 < lo < hi < 1, got {align_range}")
-    if label_margin is not None and not 0.0 <= label_margin < 1.0:
-        raise ConfigurationError(f"label_margin must satisfy 0 <= label_margin < 1, got {label_margin}")
 
 
 def _rule_projection(complement, coeff, norm, rule) -> float:
@@ -93,31 +94,23 @@ def _rule_projection(complement, coeff, norm, rule) -> float:
     return float((complement @ (coeff / norm)) @ rule)
 
 
-def gen_task(
-    n_skills: int,
-    d: int,
-    n_samples: int,
-    seed: int,
-    align_range: tuple[float, float] = (0.90, 0.98),
-    label_margin: float = 0.15,
-) -> SyntheticTask:
+def gen_task(n_skills: int, d: int, n_samples: int, seed: int) -> SyntheticTask:
     """Deterministically generate a planted-skill task.
 
     Every token is cos(t) * u_skill + sin(t) * v with v a unit vector in the
-    orthogonal complement of all skill directions, so within-skill pairwise
-    cosine is at least 2 * lo^2 - 1 and cross-skill cosine is at most
-    1 - lo^2 (lo being the lower alignment bound). The label is the sign of
-    <token, rule_skill> where each rule direction also lives in the
-    complement; the noise component is resampled until its projection on the
-    rule clears ``label_margin``, keeping labels away from the boundary.
-    The margin must lie in [0, 1), as a projection is at most 1; one just
-    below 1 terminates only in expectation, after very many draws per token.
+    orthogonal complement of all skill directions and cos(t) drawn from
+    ``ALIGN_RANGE`` = (lo, hi), so within-skill pairwise cosine is at least
+    2 * lo^2 - 1 and cross-skill cosine is at most 1 - lo^2. The label is
+    the sign of <token, rule_skill> where each rule direction also lives in
+    the complement; the noise component is resampled until its projection
+    on the rule clears ``LABEL_MARGIN``, keeping labels away from the
+    boundary.
 
     Rows are drawn in sequence, so the same seed with more samples extends
     a task: its first ``n_samples`` rows are this task's.
     """
-    check_task_args(n_skills, d, n_samples, seed, align_range, label_margin)
-    lo, hi = align_range
+    check_task_args(n_skills, d, n_samples, seed)
+    lo, hi = ALIGN_RANGE
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
     skills = basis[:, :n_skills]
@@ -149,9 +142,9 @@ def gen_task(
                     continue
                 # Orthonormal complement columns: the exact projection up to rounding.
                 proj = coeff.dot(rule_coeffs[s]) / norm
-                if abs(proj) < _PROJ_GUARD or abs(abs(proj) - label_margin) < _PROJ_GUARD:
+                if abs(proj) < _PROJ_GUARD or abs(abs(proj) - LABEL_MARGIN) < _PROJ_GUARD:
                     proj = _rule_projection(complement, coeff, norm, rules[:, s])
-                if abs(proj) >= label_margin:
+                if abs(proj) >= LABEL_MARGIN:
                     break
             np.divide(coeff, norm, out=units[i - start])
             labels[i] = 1 if proj > 0.0 else 0
@@ -188,16 +181,17 @@ class Adam:
     operations for the whole model. After a ``Param.replace`` has swapped a
     Param's storage, the next step copies everything in again.
 
-    The moments ``m``, ``v`` and a step count ``t`` per entry sit in flat
-    vectors of the same layout. When the adaptive process removes or
-    appends expert slots, ``resize`` remaps that Param's share of them:
-    surviving entries keep their state, new entries get zero moments. A
-    Param marked ``slot_steps`` (the expert tensors) gives appended entries
-    the count 0, so an appended expert starts its bias correction at step 1
-    as a fresh Param would. Every other Param keeps one count on all its
-    entries (the router's ``w_g`` and ``g``), which appended entries take
-    over. A column appended to those after t steps gets zero moments but the
-    bias correction of step t + 1, and so larger first updates than a fresh
+    The moments ``m`` and ``v`` sit in flat vectors of the same layout, and
+    one step count per run of entries that share it (at most one run per
+    expert slot). When the adaptive process removes or appends expert
+    slots, ``resize`` remaps that Param's share of them: surviving entries
+    keep their state, new entries get zero moments. A Param marked
+    ``slot_steps`` (the expert tensors) gives appended entries the count 0,
+    so an appended expert starts its bias correction at step 1 as a fresh
+    Param would. Every other Param keeps one count on all its entries (the
+    router's ``w_g`` and ``g``), which appended entries take over. A column
+    appended to those after t steps gets zero moments but the bias
+    correction of step t + 1, and so larger first updates than a fresh
     Param: at lr=1 with a unit gradient a fresh Param moves 1.0 per update,
     while a column appended after 500 steps moves 1.99 on its first update
     and up to 4.16 later (3.08 and 6.41 after 3000 steps).
@@ -214,7 +208,8 @@ class Adam:
         self._shapes: list[tuple[int, ...]] = []  # the shape each Param's state has
         self._value = self._grad = None           # flat storage the Params view
         self._m = self._v = np.zeros(0)
-        self._t = np.zeros(0, dtype=np.int64)
+        # the next _run_lengths[i] entries share the step count _run_t[i]
+        self._run_t = self._run_lengths = np.zeros(0, dtype=np.int64)
         self._n_steps = 0  # no entry's count exceeds the steps taken
         # 1 - beta**n from Python float powers, indexed by n: np.power can
         # differ from them in the last bit.
@@ -224,12 +219,16 @@ class Adam:
         ends = np.cumsum([math.prod(shape) for shape in self._shapes]).tolist()
         return zip(self._params, [0] + ends[:-1], ends, self._shapes)
 
+    def _counts(self) -> np.ndarray:
+        """Every entry's step count, in the flat layout."""
+        return self._run_t.repeat(self._run_lengths)
+
     def moments(self, param) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of ``param``'s ``m``, ``v`` and per-entry step counts,
-        shaped like its state."""
+        """Views of ``param``'s ``m`` and ``v`` and a copy of its per-entry
+        step counts, shaped like its state."""
         for p, a, b, shape in self._bounds():
             if p is param:
-                return tuple(x[a:b].reshape(shape) for x in (self._m, self._v, self._t))
+                return tuple(x[a:b].reshape(shape) for x in (self._m, self._v, self._counts()))
         raise KeyError(f"no optimizer state for param {param.name!r}")
 
     def _pack(self) -> None:
@@ -245,12 +244,13 @@ class Adam:
             p.value = self._value[a:b].reshape(shape)
             p.grad = self._grad[a:b].reshape(shape)
         self._scratch = np.empty((2, self._value.size))  # every temporary of a step
-        # Entries share counts in long runs (one per expert slot at most), so
-        # a step expands one correction per run instead of gathering one per
-        # entry, which costs several times more at mid size.
-        starts = np.flatnonzero(np.diff(self._t)) + 1
-        self._run_starts = np.concatenate([[0], starts])
-        self._run_lengths = np.diff(np.concatenate([self._run_starts, [self._t.size]]))
+
+    def _correction(self, table: np.ndarray):
+        """``table`` at every entry's step count: a scalar while all entries
+        share one count, else one correction per run expanded to its entries."""
+        if self._run_t.size == 1:
+            return table[self._run_t[0]]
+        return table.take(self._run_t).repeat(self._run_lengths)
 
     def step(self, params) -> None:
         if not self._params:
@@ -258,7 +258,8 @@ class Adam:
             self._shapes = [p.shape for p in self._params]
             size = sum(p.value.size for p in self._params)
             self._m, self._v = np.zeros((2, size))
-            self._t = np.zeros(size, dtype=np.int64)
+            self._run_t = np.zeros(1, dtype=np.int64)
+            self._run_lengths = np.array([size])
         elif list(params) != self._params:
             raise ValueError("Adam steps one fixed list of Params; got a different list")
         if self._value is None or any(p.value.base is not self._value or p.grad.base is not self._grad
@@ -268,7 +269,7 @@ class Adam:
         if self._n_steps >= self._c1.size:
             self._c1, self._c2 = (np.array([1.0 - beta**k for k in range(2 * self._n_steps)])
                                   for beta in (self.beta1, self.beta2))
-        m, v, t, g = self._m, self._v, self._t, self._grad
+        m, v, g = self._m, self._v, self._grad
         update, denom = self._scratch
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=update)
@@ -277,12 +278,11 @@ class Adam:
         np.square(g, out=update)
         update *= 1.0 - self.beta2
         v += update
-        t += 1
-        run_t = t[self._run_starts]
+        self._run_t += 1
         # lr * m_hat / (sqrt(v_hat) + eps), in this operation order
-        np.divide(m, self._c1.take(run_t).repeat(self._run_lengths), out=update)
+        np.divide(m, self._correction(self._c1), out=update)
         update *= self.lr
-        np.divide(v, self._c2.take(run_t).repeat(self._run_lengths), out=denom)
+        np.divide(v, self._correction(self._c2), out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
@@ -291,9 +291,10 @@ class Adam:
     def resize(self, param, keep, n_new, axis) -> None:
         if param not in self._params:
             return
+        counts = self._counts()
         pieces = []
         for p, a, b, shape in self._bounds():
-            m, v, t = (x[a:b].reshape(shape) for x in (self._m, self._v, self._t))
+            m, v, t = (x[a:b].reshape(shape) for x in (self._m, self._v, counts))
             if p is param:
                 fill = 0 if p.slot_steps else int(t.flat[0])
                 m, v, t = (np.take(x, keep, axis=axis) for x in (m, v, t))
@@ -305,7 +306,9 @@ class Adam:
                 new_shape = m.shape
             pieces.append((m.ravel(), v.ravel(), t.ravel()))
         self._shapes[self._params.index(param)] = new_shape
-        self._m, self._v, self._t = (np.concatenate(x) for x in zip(*pieces))
+        self._m, self._v, counts = (np.concatenate(x) for x in zip(*pieces))
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(counts)) + 1, [counts.size]])
+        self._run_t, self._run_lengths = counts[edges[:-1]], np.diff(edges)
         self._value = None  # the layout moved: the next step packs again
 
 
@@ -408,10 +411,9 @@ class TrainConfig:
 def check_adapt_bounds(init_experts: int, adapt: AdaptConfig) -> None:
     """Raise ``ConfigurationError`` unless the starting K lies within the
     bounds ``adapt`` keeps K in."""
-    if not adapt.min_experts <= init_experts <= adapt.max_experts:
+    if init_experts > adapt.max_experts:
         raise ConfigurationError(
-            f"init_experts {init_experts} is outside [min_experts, max_experts] = "
-            f"[{adapt.min_experts}, {adapt.max_experts}]"
+            f"init_experts {init_experts} exceeds max_experts {adapt.max_experts}"
         )
 
 
@@ -607,9 +609,15 @@ MODEL_SCHEMA = "dynmoe-model/2"
 
 
 def model_to_doc(model: MoeClassifier) -> dict:
+    """The checkpoint document; ``ValueError`` if a layer holds a tensor
+    whose name is empty or repeats another's, as it would overwrite it."""
     layers = []
-    for layer in model.layers:
-        doc = {p.name: p.value.tolist() for p in layer.params()}
+    for li, layer in enumerate(model.layers):
+        doc = {}
+        for p in layer.params():
+            if not p.name or p.name in doc:
+                raise ValueError(f"layer {li}: tensor key {p.name!r} is empty or repeated")
+            doc[p.name] = p.value.tolist()
         if not _top_any(layer):
             doc["top_k"] = layer.router.top_k
         layers.append(doc)

@@ -297,7 +297,6 @@ def moe_forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    layer.validate()
     tokens = np.asarray(tokens, dtype=np.float64)
     decision, weights = layer.router.route(tokens, mode)
     out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")

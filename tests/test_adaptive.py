@@ -119,14 +119,16 @@ class TestAdapt:
         assert report.new_k_total == 3
 
     def test_min_experts_clamp_keeps_lowest_index(self, rng):
+        # adapt keeps at least one expert: with every expert unused, the
+        # lowest-index one survives
         layer = build_layer(rng, n_experts=3)
         layer.record.start()
         layer.record.r_e[:] = [0, 0, 0]
-        cfg = AdaptConfig(max_experts=8, min_experts=2)
+        cfg = AdaptConfig(max_experts=8)
         report = adapt(layer, layer.record, cfg, rng)
         assert report.clamped
-        assert report.removed_experts == [2]
-        assert report.new_k_total == 2
+        assert report.removed_experts == [1, 2]
+        assert report.new_k_total == 1
 
     def test_removal_creates_room_for_addition(self, rng):
         layer = build_layer(rng, n_experts=4)
@@ -193,7 +195,7 @@ class TestAdapt:
         assert np.all(dec.k == 0)
         layer.record.start()
         record(layer.record, dec, cluster)
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8, min_experts=1), rng)
+        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
         assert report.added
         new_e = layer.n_experts - 1
         dec2 = route_top_any(cluster, layer.router)
@@ -243,11 +245,8 @@ class TestInitNewExpert:
                 parse_config_doc({"adapt": {"init_strategy": strategy}})
 
     def test_empty_expert_list_rejected(self, rng):
-        # adapt never empties the bank it appends the new expert to: a
-        # min_experts of 0 is refused, and with every expert unused the
-        # default keeps the lowest-index one
-        with pytest.raises(ConfigurationError, match="min_experts"):
-            AdaptConfig(min_experts=0)
+        # adapt never empties the bank it appends the new expert to: with
+        # every expert unused it keeps the lowest-index one
         layer = build_layer(rng, n_experts=3)
         layer.record.start()
         layer.record.r_s[:] = rng.standard_normal(layer.d)
@@ -261,8 +260,8 @@ class TestInitNewExpert:
 
 class TestAdaptConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptConfig(max_experts=2, min_experts=3)
+        with pytest.raises(ConfigurationError, match="max_experts"):
+            AdaptConfig(max_experts=0)
         with pytest.raises(ConfigurationError):
             AdaptConfig(record_window=(0.5, 0.5))
         with pytest.raises(ConfigurationError):

@@ -17,8 +17,7 @@ FULL_CONFIG = {
     "train": {"steps": 120, "batch_size": 16, "learning_rate": 0.01,
               "aux_loss_weight": 0.5, "seed": 3, "eval_every": 40, "n_layers": 2,
               "hidden": 8, "init_experts": 3},
-    "adapt": {"max_experts": 6, "check_interval": 30, "record_window": [0.25, 0.75],
-              "min_experts": 2},
+    "adapt": {"max_experts": 6, "check_interval": 30, "record_window": [0.25, 0.75]},
     "router": {"kind": "topk", "n_experts": 4, "top_k": 2},
     "sweep": {"n_experts_grid": [2, 3], "top_k_grid": [1]},
 }
@@ -355,8 +354,8 @@ class TestCli:
         ("sweep", {"sweep": {"n_experts_grid": [2], "top_k_grid": [3]}}),
         # a starting K outside the adapt bounds fails before the first adapt
         ("train", {"train": {"init_experts": 8, "steps": 400}, "adapt": {"max_experts": 4}}),
-        ("sweep", {"train": {"init_experts": 1}, "adapt": {"min_experts": 2}}),
         # removed keys are unknown keys; n_classes 1 used to fail at the first step
+        ("sweep", {"train": {"init_experts": 1}, "adapt": {"min_experts": 2}}),
         ("train", {"train": {"n_classes": 1}}),
         ("train", {"train": {"eval_fraction": 0.5}}),
         ("train", {"train": {"optimizer": {"beta1": 0.9}}}),
@@ -366,8 +365,10 @@ class TestCli:
         assert main([command, str(cfg), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        for key in {"n_classes", "eval_fraction", "optimizer"} & set(section.get("train", {})):
-            assert f"unknown key(s): ['train.{key}']" in err
+        removed = {"train": {"n_classes", "eval_fraction", "optimizer"}, "adapt": {"min_experts"}}
+        for where, keys in removed.items():
+            for key in keys & set(section.get(where, {})):
+                assert f"unknown key(s): ['{where}.{key}']" in err
         assert not (tmp_path / "r").exists()
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):

@@ -33,3 +33,24 @@ def test_diff_dirs_names_changed_and_one_sided_files(tmp_path):
     (b / "run" / "metrics.csv").write_text("1.0000000000000002\n")
     (a / "only_a.json").write_text("{}")
     assert cmp_runs.diff_dirs(a, b) == ["only_a.json", "run/metrics.csv"]
+
+
+def test_expect_names_the_files_allowed_to_differ(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, text in ((a, "1\n"), (b, "2\n")):
+        for rel in ("default/config.snapshot", "sweep/dynmoe/config.snapshot",
+                    "default/eval/metrics.csv"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+    monkeypatch.setattr(cmp_runs, "compare", lambda *trees: cmp_runs.diff_dirs(a, b))
+    snapshots = ["default/config.snapshot", "sweep/dynmoe/config.snapshot"]
+    assert cmp_runs.split_expected(cmp_runs.diff_dirs(a, b), ["config.snapshot"]) == \
+        (snapshots, ["default/eval/metrics.csv"])
+
+    assert cmp_runs.main([str(a), "--expect", "config.snapshot"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [*(f"differs (expected): {rel}" for rel in snapshots),
+                       "differs (unexpected): default/eval/metrics.csv"]
+    assert out[3].endswith("3 differing file(s), 1 unexpected")
+    assert cmp_runs.main([str(a), "--expect", "config.snapshot", "--expect", "metrics.csv"]) == 0
+    assert cmp_runs.main([str(a)]) == 1

@@ -439,6 +439,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported model schema 'dynmoe-model/1'"):
             load_model(path)
 
+    @pytest.mark.parametrize("w_g_name, g_name, key", [
+        ("", "", ""),        # unnamed: both tensors would go under "", and w_g be lost
+        ("w_g", "w_g", "w_g"),  # repeated: g would overwrite w_g
+    ])
+    def test_empty_or_repeated_key_refused(self, rng, tmp_path, w_g_name, g_name, key):
+        w = rng.standard_normal((5, 3))
+        router = RouterParams(w_g=Param(w, name=w_g_name), g=Param(np.zeros(3), name=g_name))
+        layer = MoeLayer(router=router, experts=ExpertMlp.random(5, 4, 3, rng),
+                         record=RoutingRecord.fresh(3, 5))
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"layer 0: tensor key '{key}' is empty or repeated"):
+            save_model(one_layer_model(layer, rng), path)
+        assert not path.exists()
+
     @settings(max_examples=30, deadline=None)
     @given(router=st.sampled_from(["top_any", "topk"]), n_layers=st.integers(1, 2),
            d=st.integers(2, 6), h=st.integers(1, 8), n_experts=st.integers(2, 4),

@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tools/cmp_runs.py PARENT_TREE [--tree TREE]
+    python tools/cmp_runs.py PARENT_TREE [--tree TREE] [--expect FILE ...]
 
 runs every command of ``RUNS`` once with ``PYTHONPATH=<tree>/src`` for each
 tree (``--tree`` defaults to the checkout holding this script), with BLAS on
@@ -12,8 +12,11 @@ run, each tree runs ``dynmoe eval`` on its own ``checkpoint.final`` into
 ``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``, ``config.snapshot``,
 the sweep's ``comparison.csv`` and the eval's ``metrics.csv`` and
 ``artifacts.json``.
-It prints the files that differ or exist on one side only and exits 1 if
-there are any, 0 otherwise. Nothing is written into either tree.
+It prints the files that differ or exist on one side only, those named by
+an ``--expect FILE`` (repeatable; matched against the end of each path, as
+``PurePath.match`` does, so ``config.snapshot`` names every run's snapshot)
+apart from the rest. It exits 1 if any file differs that no ``--expect``
+names, 0 otherwise. Nothing is written into either tree.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 # (name, config document, CLI arguments); the config path and --out follow
 # the subcommand.
@@ -104,16 +107,27 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS) -> list[str]:
     return differing
 
 
+def split_expected(differing: list[str], expect) -> tuple[list[str], list[str]]:
+    """``differing`` split into the paths some pattern of ``expect`` matches
+    and the rest."""
+    matched = [rel for rel in differing if any(PurePosixPath(rel).match(e) for e in expect)]
+    return matched, [rel for rel in differing if rel not in matched]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--expect", action="append", default=[], metavar="FILE",
+                        help="an output file this change is meant to alter (repeatable)")
     args = parser.parse_args(argv)
     differing = compare(args.parent_tree, args.tree)
-    for rel in differing:
-        print(f"differs: {rel}")
-    print(f"{len(RUNS)} runs, {len(differing)} differing file(s)")
-    return 1 if differing else 0
+    expected, unexpected = split_expected(differing, args.expect)
+    for label, group in (("expected", expected), ("unexpected", unexpected)):
+        for rel in group:
+            print(f"differs ({label}): {rel}")
+    print(f"{len(RUNS)} runs, {len(differing)} differing file(s), {len(unexpected)} unexpected")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

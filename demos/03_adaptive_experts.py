@@ -1,7 +1,8 @@
 """Growing and pruning the expert set from routing records.
 
-During a recording window the layer counts per-expert activations (r_e) and
-sums the embeddings of tokens that activated nothing (r_s). Closing the
+During a recording window the training loop keeps one routing record per
+layer: it counts per-expert activations (r_e) and sums the embeddings of
+tokens that activated nothing (r_s). Closing the
 window removes experts nobody used and, if unserved tokens exist, appends
 one expert whose representation column is r_s normalized, with a zero
 threshold. An unserved token x activates the newcomer iff <x, r_s> > 0,
@@ -11,7 +12,7 @@ like the one below.
 
 import numpy as np
 
-from dynmoe import AdaptConfig, MoeLayer, adapt, moe_forward, record, route_top_any
+from dynmoe import AdaptConfig, MoeLayer, RoutingRecord, adapt, moe_forward, record, route_top_any
 
 rng = np.random.default_rng(2)
 
@@ -30,12 +31,11 @@ print(f"cluster of 30 tokens: activation counts per expert = "
       f"{decision.mask.sum(axis=0).astype(int).tolist()}, unserved = "
       f"{int((decision.k == 0).sum())}")
 
-layer.record.start()
-record(layer.record, decision, cluster)
-print(f"routing record: r_e={layer.record.r_e.tolist()}  "
-      f"|r_s|={np.linalg.norm(layer.record.r_s):.2f}")
+rec = RoutingRecord.fresh(layer.n_experts, D)  # the layer's record, as the loop keeps it
+record(rec, decision, cluster)
+print(f"routing record: r_e={rec.r_e.tolist()}  |r_s|={np.linalg.norm(rec.r_s):.2f}")
 
-report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
 print(f"\nadapt: removed {report.removed_experts} (never activated, clamped to "
       f"keep at least 1), added one expert -> {report.new_k_total} experts")
 
@@ -49,9 +49,8 @@ print(f"the new expert now catches the whole cluster: "
 # probe batch around the new expert's cluster.
 probe = center[None, :] + 0.05 * rng.standard_normal((20, D))
 before_out, probe_dec = moe_forward(layer, probe)
-layer.record.start()
-record(layer.record, probe_dec, probe)
-report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+record(rec, probe_dec, probe)  # adapt left the record reset, sized for the new experts
+report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
 after_out, _ = moe_forward(layer, probe)
 print(f"\npruning pass removed {report.removed_experts}; probe outputs moved by "
       f"{np.max(np.abs(after_out - before_out)):.1e} (exactly zero expected)")

@@ -1,14 +1,15 @@
 """Routing records and the expert add / remove process.
 
-During a recording window the layer counts, per expert, how many tokens
-activated it, and sums the embeddings of tokens that activated nothing.
-The training loop decides from the step which steps record and when the
-window closes. Then experts nobody used are deleted, and if any tokens
-went unserved a single new expert is appended whose representation column
-is the normalized sum r_s of those tokens (threshold zero). An unserved
-token x activates it iff <x, r_s> > 0: every token of a cluster with
-pairwise-positive cosines does, but not every unserved token in general.
-Its MLP weights are drawn fresh, as the initial experts' are.
+During a recording window the training loop keeps one record per layer:
+it counts, per expert, how many tokens activated it, and sums the
+embeddings of tokens that activated nothing. The loop decides from the
+step which steps record and when the window closes. Then experts nobody
+used are deleted, and if any tokens went unserved a single new expert is
+appended whose representation column is the normalized sum r_s of those
+tokens (threshold zero). An unserved token x activates it iff
+<x, r_s> > 0: every token of a cluster with pairwise-positive cosines does,
+but not every unserved token in general. Its MLP weights are drawn fresh,
+as the initial experts' are.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class RoutingRecord:
 
     ``r_e[e]`` is the exact number of token activations of expert e since
     the last reset; ``r_s`` is the unnormalized sum of embeddings of tokens
-    that activated no expert. ``start`` and ``adapt`` reset both.
+    that activated no expert. ``adapt`` resets both.
     """
 
     r_e: np.ndarray  # (K,) int64
@@ -35,10 +36,6 @@ class RoutingRecord:
     @classmethod
     def fresh(cls, n_experts: int, dim: int) -> "RoutingRecord":
         return cls(r_e=np.zeros(n_experts, dtype=np.int64), r_s=np.zeros(dim))
-
-    def start(self) -> None:
-        self.r_e[:] = 0
-        self.r_s[:] = 0.0
 
 
 def record(rec: RoutingRecord, decision, tokens: np.ndarray) -> None:
@@ -115,8 +112,12 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
     ``ExpertMlp.random`` draws them.
     Both steps take or append one slice along the expert axis of every
     tensor in ``layer.expert_indexed()``. The record is reset either way.
+    ``DimensionError`` if the record does not fit the layer's K and d.
     """
     n_before = layer.n_experts
+    if rec.r_e.shape != (n_before,) or rec.r_s.shape != (layer.d,):
+        raise DimensionError(f"record of shapes {rec.r_e.shape} and {rec.r_s.shape} does not "
+                             f"fit a layer of {n_before} experts and d={layer.d}")
     report = AdaptReport(new_k_total=n_before)
 
     removed = [e for e in range(n_before) if rec.r_e[e] == 0]

@@ -85,6 +85,8 @@ def load_spec(args) -> RunSpec:
             raise ConfigError(f"--{dest.replace('_', '-')} sets {section}.{key}, "
                               f"but {args.config} sets {section} to null")
         if isinstance(part, dict):
+            if key == "kind" and part.get("kind", value) != value:
+                part = {}  # the file's top-k sizes go with the kind the flag replaces
             doc[section] = {**part, key: value}
     return parse_config_doc(doc, origin=str(args.config))
 
@@ -178,18 +180,25 @@ def cmd_report(args) -> int:
     similarity = {}
     for run in run_dirs:
         name = run.name
-        metrics = MetricsLog.read_csv(run / "metrics.csv")
+        path = run / "metrics.csv"
+        try:
+            metrics = MetricsLog.read_csv(path)
+            path = run / "artifacts.json"
+            if path.is_file():
+                artifacts = json.loads(path.read_text())
+                k_trajectories[name] = [[name, step, layer, count]
+                                        for step, counts in artifacts.get("k_trajectory", [])
+                                        for layer, count in enumerate(counts)]
+                similarity[name] = artifacts.get("similarity", [])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         for row in metrics.rows:
             if row.metric in ("avg_top_k", "eval_accuracy", "n_experts"):
                 by_metric[row.metric].append([name, row.step, row.layer, repr(row.values[0])])
             elif row.metric in ("activation_frequency", "gate_thresholds"):
                 for idx, value in enumerate(row.values):
                     by_metric[row.metric].append([name, row.step, row.layer, idx, repr(value)])
-        artifacts_path = run / "artifacts.json"
-        if artifacts_path.is_file():
-            artifacts = json.loads(artifacts_path.read_text())
-            k_trajectories[name] = artifacts.get("k_trajectory", [])
-            similarity[name] = artifacts.get("similarity", [])
 
     outdir = logdir / "report"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -205,12 +214,8 @@ def cmd_report(args) -> int:
                       ["run", "step", "layer", "accuracy"], by_metric["eval_accuracy"])
     _write_report_csv(outdir / "n_experts.csv",
                       ["run", "step", "layer", "n_experts"], by_metric["n_experts"])
-    rows = []
-    for name, traj in sorted(k_trajectories.items()):
-        for step, counts in traj:
-            for layer, count in enumerate(counts):
-                rows.append([name, step, layer, count])
-    _write_report_csv(outdir / "k_trajectory.csv", ["run", "step", "layer", "n_experts"], rows)
+    _write_report_csv(outdir / "k_trajectory.csv", ["run", "step", "layer", "n_experts"],
+                      [row for _, rows in sorted(k_trajectories.items()) for row in rows])
     (outdir / "similarity.json").write_text(
         json.dumps({"schema": REPORT_SCHEMA, "runs": similarity}, sort_keys=True, indent=2)
     )

@@ -44,7 +44,7 @@ class TaskSpec:
 @dataclass
 class RouterSpec:
     kind: str = "dynmoe"          # "dynmoe" or "topk"
-    n_experts: int | None = None  # the top-k router's K
+    n_experts: int | None = None  # the top-k router's K; null under "dynmoe"
     top_k: int | None = None
 
     def __post_init__(self) -> None:
@@ -55,6 +55,10 @@ class RouterSpec:
                 raise ConfigurationError("kind 'topk' requires n_experts and top_k")
             if not 1 <= self.top_k <= self.n_experts:
                 raise ConfigurationError(f"top_k {self.top_k} not in [1, {self.n_experts}]")
+        elif self.n_experts is not None or self.top_k is not None:
+            key = "n_experts" if self.n_experts is not None else "top_k"
+            raise ConfigurationError(f"{key} is for kind 'topk' only; kind 'dynmoe' starts "
+                                     "from train.init_experts")
 
 
 @dataclass

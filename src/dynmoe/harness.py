@@ -439,9 +439,10 @@ class RunResult:
 
 # --- training ----------------------------------------------------------------
 
-def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, recording: bool) -> StepStats:
-    """One optimizer update: task loss, auxiliary loss and, if ``recording``,
-    the routing records of top-any layers."""
+def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt,
+               records: list[RoutingRecord] | None) -> StepStats:
+    """One optimizer update: task loss, auxiliary loss and, unless
+    ``records`` is None, each top-any layer's routing added to its record."""
     tokens, labels = batch
     model.zero_grad()
     logits, caches, h_final = model.forward(tokens, mode="train")
@@ -451,12 +452,12 @@ def train_step(model: MoeClassifier, batch, cfg: TrainConfig, opt, recording: bo
     model.backward(caches, h_final, d_logits)
 
     k_values, aux = [], []
-    for layer, (x_in, decision) in zip(model.layers, caches):
+    for li, (layer, (x_in, decision)) in enumerate(zip(model.layers, caches)):
         k_values.append(float(np.add.reduce(decision.k) / len(decision.k)))
         if _top_any(layer):
             aux.append(diversity_simplicity_loss(layer.router.w_g, weight=cfg.aux_loss_weight))
-            if recording:
-                record(layer.record, decision, x_in)
+            if records is not None:
+                record(records[li], decision, x_in)
     aux_report = None
     if aux:
         diversity = sum(rep.diversity for rep in aux)
@@ -533,6 +534,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
         start_pos = int(math.floor(cfg.adapt.record_window[0] * interval))
         end_pos = int(math.floor(cfg.adapt.record_window[1] * interval))
         end_pos = min(max(end_pos, start_pos + 1), interval)
+        records = [RoutingRecord.fresh(layer.n_experts, layer.d) for layer in model.layers]
 
     order = np.array([], dtype=np.int64)
     cursor = 0
@@ -545,12 +547,12 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
 
         recording = adapting and start_pos <= step % interval < end_pos
         last_stats = train_step(model, (task.tokens[batch_idx], task.labels[batch_idx]), cfg, opt,
-                                recording)
+                                records if recording else None)
 
         if adapting and step % interval == end_pos - 1:
             for li, layer in enumerate(model.layers):
                 prev_k = layer.n_experts
-                report = adapt(layer, layer.record, cfg.adapt, rng)
+                report = adapt(layer, records[li], cfg.adapt, rng)
                 keep = [e for e in range(prev_k) if e not in report.removed_experts]
                 for p, axis in layer.expert_indexed():
                     opt.resize(p, keep, int(report.added), axis)
@@ -640,8 +642,7 @@ def _layer_from_doc(doc: dict) -> MoeLayer:
     else:
         router = TopKRouter(w_g=w_g, top_k=doc["top_k"])
     experts = ExpertMlp.from_arrays(*(doc[name] for name in EXPERT_TENSORS))
-    return MoeLayer(router=router, experts=experts,
-                    record=RoutingRecord.fresh(router.n_experts, router.dim))
+    return MoeLayer(router=router, experts=experts)
 
 
 def model_from_doc(doc: dict) -> MoeClassifier:

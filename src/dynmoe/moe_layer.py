@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .adaptive import RoutingRecord
 from .numerics import DimensionError, Param
 from .router import GatingDecision, RouterParams, TopKDecision, TopKRouter
 
@@ -141,14 +140,12 @@ class ExpertMlp:
 
 @dataclass(eq=False)
 class MoeLayer:
-    """Router, experts and routing record; the unit the adaptive process
-    resizes. Only a top-any router records and adapts. The token dimension
-    ``d`` and the hidden width ``h`` are read from the router and the
-    experts' ``w1``."""
+    """A router and its experts, one per router column; the unit the
+    adaptive process resizes. The token dimension ``d`` and the hidden width
+    ``h`` are read from the router and the experts' ``w1``."""
 
     router: RouterParams | TopKRouter
     experts: ExpertMlp
-    record: RoutingRecord
 
     def __post_init__(self) -> None:
         self.validate()
@@ -170,10 +167,6 @@ class MoeLayer:
             raise DimensionError(
                 f"router has {k} experts but layer holds {self.experts.n_experts} MLPs"
             )
-        if self.record.r_e.shape[0] != k:
-            raise DimensionError(
-                f"routing record tracks {self.record.r_e.shape[0]} experts, layer has {k}"
-            )
         d, h = self.d, self.h
         shapes = [p.shape for p in self.experts.params()]
         if shapes != [(k, d, h), (k, h), (k, h, d), (k, d)]:
@@ -193,9 +186,8 @@ class MoeLayer:
     def around(cls, router: RouterParams | TopKRouter, hidden: int,
                rng: np.random.Generator) -> "MoeLayer":
         """``router`` and one random expert per router column, drawn from ``rng``."""
-        d, k = router.dim, router.n_experts
-        return cls(router=router, experts=ExpertMlp.random(d, hidden, k, rng),
-                   record=RoutingRecord.fresh(k, d))
+        return cls(router=router,
+                   experts=ExpertMlp.random(router.dim, hidden, router.n_experts, rng))
 
     def params(self) -> list[Param]:
         return [*self.router.params(), *self.experts.params()]

@@ -134,21 +134,15 @@ class MetricsLog:
     def read_csv(cls, path) -> "MetricsLog":
         path = Path(path)
         log = cls()
+        # (step, layer, metric) -> its (index, value) pairs, in file order
         grouped: dict[tuple[int, int, str], list[tuple[int, float]]] = {}
-        order: list[tuple[int, int, str]] = []
         with path.open() as fh:
             first = fh.readline()
             if not first.startswith(f"# schema={METRICS_SCHEMA}"):
                 raise ValueError(f"unsupported metrics schema line: {first.strip()!r}")
-            reader = csv.DictReader(fh)
-            for rec in reader:
+            for rec in csv.DictReader(fh):
                 key = (int(rec["step"]), int(rec["layer"]), rec["metric"])
-                if key not in grouped:
-                    grouped[key] = []
-                    order.append(key)
-                grouped[key].append((int(rec["index"]), float(rec["value"])))
-        for key in order:
-            step, layer, metric = key
-            values = [v for _, v in sorted(grouped[key])]
-            log.append(step, layer, metric, values)
+                grouped.setdefault(key, []).append((int(rec["index"]), float(rec["value"])))
+        for (step, layer, metric), pairs in grouped.items():
+            log.append(step, layer, metric, [v for _, v in sorted(pairs)])
         return log

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynmoe.adaptive import AdaptConfig, adapt, record
+from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt, record
 from dynmoe.harness import (
     TrainConfig,
     gen_task,
@@ -214,11 +214,11 @@ class TestCriterion5AdaptiveAddRemove:
 
         dec = route_top_any(cluster, layer.router)
         assert np.all(dec.k == 0)
-        layer.record.start()
-        record(layer.record, dec, cluster)
-        stored_sum = layer.record.r_s.copy()
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, cluster)
+        stored_sum = rec.r_s.copy()
 
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         assert report.added
         new_col = layer.router.w_g.value[:, -1]
         cos = float(new_col @ stored_sum / (np.linalg.norm(new_col) * np.linalg.norm(stored_sum)))
@@ -240,9 +240,9 @@ class TestCriterion5AdaptiveAddRemove:
         assert np.all(dec.k >= 1)  # no unserved tokens, so removal only
         out_before, _ = moe_forward(layer, probe)
 
-        layer.record.start()
-        record(layer.record, dec, probe)
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, probe)
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         assert report.removed_experts == [1] and not report.added
         out_after, _ = moe_forward(layer, probe)
         dev = float(np.max(np.abs(out_after - out_before)))

@@ -3,10 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from dynmoe.adaptive import AdaptConfig, adapt, record
+from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt, record
 from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_forward
-from dynmoe.numerics import ConfigurationError
+from dynmoe.numerics import ConfigurationError, DimensionError
 from dynmoe.router import route_top_any
 
 from conftest import rel_err
@@ -27,10 +27,10 @@ class TestRecord:
         tokens = np.abs(rng.standard_normal((5, layer.d))) + 0.1
         dec = route_top_any(tokens, layer.router)
         assert np.all(dec.mask[:, 0] == 1.0) and np.all(dec.mask[:, 1:] == 0.0)
-        layer.record.start()
-        record(layer.record, dec, tokens)
-        np.testing.assert_array_equal(layer.record.r_e, [5, 0, 0])
-        np.testing.assert_array_equal(layer.record.r_s, 0.0)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, tokens)
+        np.testing.assert_array_equal(rec.r_e, [5, 0, 0])
+        np.testing.assert_array_equal(rec.r_s, 0.0)
 
     def test_no_activation_batch(self, rng):
         layer = build_layer(rng)
@@ -38,17 +38,17 @@ class TestRecord:
         tokens = rng.standard_normal((4, layer.d))
         dec = route_top_any(tokens, layer.router)
         assert np.all(dec.k == 0)
-        layer.record.start()
-        record(layer.record, dec, tokens)
-        np.testing.assert_array_equal(layer.record.r_e, 0)
-        np.testing.assert_array_equal(layer.record.r_s, tokens.sum(axis=0))
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, tokens)
+        np.testing.assert_array_equal(rec.r_e, 0)
+        np.testing.assert_array_equal(rec.r_s, tokens.sum(axis=0))
 
     def test_mixed_batch_matches_loop_oracle(self, rng):
         layer = build_layer(rng, n_experts=4)
         tokens = rng.standard_normal((30, layer.d))
         dec = route_top_any(tokens, layer.router)
-        layer.record.start()
-        record(layer.record, dec, tokens)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, tokens)
 
         want_counts = np.zeros(4, dtype=np.int64)
         want_sum = np.zeros(layer.d)
@@ -58,28 +58,28 @@ class TestRecord:
                     want_counts[e] += 1
             if dec.k[i] == 0:
                 want_sum += tokens[i]
-        np.testing.assert_array_equal(layer.record.r_e, want_counts)
-        np.testing.assert_allclose(layer.record.r_s, want_sum, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rec.r_e, want_counts)
+        np.testing.assert_allclose(rec.r_s, want_sum, rtol=0, atol=1e-12)
 
     def test_counter_conservation(self, rng):
         layer = build_layer(rng, n_experts=4)
-        layer.record.start()
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
         total = 0
         for _ in range(5):
             tokens = rng.standard_normal((12, layer.d))
             dec = route_top_any(tokens, layer.router)
-            record(layer.record, dec, tokens)
+            record(rec, dec, tokens)
             total += int(dec.k.sum())
-        assert int(layer.record.r_e.sum()) == total
+        assert int(rec.r_e.sum()) == total
 
 
 class TestAdapt:
     def test_zero_count_expert_removed(self, rng):
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [5, 0, 3]
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [5, 0, 3]
         cfg = AdaptConfig(max_experts=8)
-        report = adapt(layer, layer.record, cfg, rng)
+        report = adapt(layer, rec, cfg, rng)
         assert report.removed_experts == [1]
         assert not report.added
         assert report.new_k_total == 2
@@ -87,12 +87,12 @@ class TestAdapt:
 
     def test_unserved_tokens_add_expert(self, rng):
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [5, 2, 3]
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [5, 2, 3]
         direction = rng.standard_normal(layer.d)
-        layer.record.r_s[:] = 4.0 * direction
+        rec.r_s[:] = 4.0 * direction
         cfg = AdaptConfig(max_experts=8)
-        report = adapt(layer, layer.record, cfg, rng)
+        report = adapt(layer, rec, cfg, rng)
         assert report.added and report.new_k_total == 4
         new_col = layer.router.w_g.value[:, -1]
         assert rel_err(new_col, direction / np.linalg.norm(direction)) < 1e-12
@@ -101,61 +101,81 @@ class TestAdapt:
 
     def test_no_room_no_add(self, rng):
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [5, 2, 3]
-        layer.record.r_s[:] = rng.standard_normal(layer.d)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [5, 2, 3]
+        rec.r_s[:] = rng.standard_normal(layer.d)
         cfg = AdaptConfig(max_experts=3)
-        report = adapt(layer, layer.record, cfg, rng)
+        report = adapt(layer, rec, cfg, rng)
         assert not report.added
         assert report.new_k_total == 3
 
     def test_all_served_noop(self, rng):
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [1, 1, 1]
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [1, 1, 1]
         cfg = AdaptConfig(max_experts=8)
-        report = adapt(layer, layer.record, cfg, rng)
+        report = adapt(layer, rec, cfg, rng)
         assert report.removed_experts == [] and not report.added
         assert report.new_k_total == 3
 
-    def test_min_experts_clamp_keeps_lowest_index(self, rng):
-        # adapt keeps at least one expert: with every expert unused, the
-        # lowest-index one survives
+    def test_all_unused_keeps_lowest_index_and_appends_new(self, rng):
+        # adapt never empties the bank it appends the new expert to: with
+        # every expert unused it keeps the lowest-index one, then appends
+        # one if tokens went unserved
+        for unserved in (False, True):
+            layer = build_layer(rng, n_experts=3)
+            rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+            if unserved:
+                rec.r_s[:] = rng.standard_normal(layer.d)
+            kept = [p.value[0].copy() for p in layer.experts.params()]
+            report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
+            assert report.clamped and report.removed_experts == [1, 2]
+            assert report.added == unserved
+            assert report.new_k_total == layer.n_experts == 1 + unserved
+            for p, old in zip(layer.experts.params(), kept):
+                np.testing.assert_array_equal(p.value[0], old)
+
+    @pytest.mark.parametrize("n_record", [2, 4])
+    def test_record_that_does_not_fit_the_layer_is_refused(self, rng, n_record):
+        # a record with too few or too many experts, or the wrong d, is
+        # refused before the layer changes
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [0, 0, 0]
-        cfg = AdaptConfig(max_experts=8)
-        report = adapt(layer, layer.record, cfg, rng)
-        assert report.clamped
-        assert report.removed_experts == [1, 2]
-        assert report.new_k_total == 1
+        before = [p.value.copy() for p in layer.params()]
+        rec = RoutingRecord.fresh(n_record, layer.d)
+        rec.r_e[:] = 1
+        with pytest.raises(DimensionError, match="does not fit a layer of 3 experts"):
+            adapt(layer, rec, AdaptConfig(max_experts=8), rng)
+        with pytest.raises(DimensionError, match="d=6"):
+            adapt(layer, RoutingRecord.fresh(3, layer.d + 1), AdaptConfig(max_experts=8), rng)
+        for p, old in zip(layer.params(), before):
+            np.testing.assert_array_equal(p.value, old)
 
     def test_removal_creates_room_for_addition(self, rng):
         layer = build_layer(rng, n_experts=4)
-        layer.record.start()
-        layer.record.r_e[:] = [3, 0, 2, 1]
-        layer.record.r_s[:] = rng.standard_normal(layer.d)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [3, 0, 2, 1]
+        rec.r_s[:] = rng.standard_normal(layer.d)
         cfg = AdaptConfig(max_experts=4)
-        report = adapt(layer, layer.record, cfg, rng)
+        report = adapt(layer, rec, cfg, rng)
         assert report.removed_experts == [1] and report.added
         assert report.new_k_total == 4
 
     def test_record_reset_after_adapt(self, rng):
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [1, 0, 2]
-        layer.record.r_s[:] = 1.0
-        adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
-        np.testing.assert_array_equal(layer.record.r_e, 0)
-        np.testing.assert_array_equal(layer.record.r_s, 0.0)
-        assert layer.record.r_e.shape[0] == layer.n_experts
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [1, 0, 2]
+        rec.r_s[:] = 1.0
+        adapt(layer, rec, AdaptConfig(max_experts=8), rng)
+        np.testing.assert_array_equal(rec.r_e, 0)
+        np.testing.assert_array_equal(rec.r_s, 0.0)
+        assert rec.r_e.shape[0] == layer.n_experts
 
     def test_removal_soundness(self, rng):
         layer = build_layer(rng, n_experts=5)
-        layer.record.start()
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
         counts = np.array([2, 0, 1, 0, 4])
-        layer.record.r_e[:] = counts
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        rec.r_e[:] = counts
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         # survivors are exactly the nonzero-count experts, in order
         assert report.removed_experts == [1, 3]
         assert layer.n_experts == 3
@@ -171,9 +191,9 @@ class TestAdapt:
             dec = route_top_any(probe, layer.router)
             dead = [2]
         out_before, _ = moe_forward(layer, probe)
-        layer.record.start()
-        record(layer.record, dec, probe)
-        adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, probe)
+        adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         out_after, _ = moe_forward(layer, probe)
         assert rel_err(out_after, out_before) < 1e-12
 
@@ -193,9 +213,9 @@ class TestAdapt:
 
         dec = route_top_any(cluster, layer.router)
         assert np.all(dec.k == 0)
-        layer.record.start()
-        record(layer.record, dec, cluster)
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, cluster)
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         assert report.added
         new_e = layer.n_experts - 1
         dec2 = route_top_any(cluster, layer.router)
@@ -210,10 +230,10 @@ class TestAdapt:
         tokens = np.array([[1.0, 0.0, 0.0, 0.0], [-0.9, 0.1, 0.0, 0.0]])
         dec = route_top_any(tokens, layer.router)
         assert np.all(dec.k == 0)
-        layer.record.start()
-        record(layer.record, dec, tokens)
-        dots = tokens @ layer.record.r_s
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        record(rec, dec, tokens)
+        dots = tokens @ rec.r_s
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         assert report.added
         after = route_top_any(tokens, layer.router)
         np.testing.assert_array_equal(after.mask[:, -1], [1.0, 0.0])
@@ -225,12 +245,12 @@ class TestInitNewExpert:
         # adapt draws the new MLP as the initial experts are drawn; kept
         # experts stay as they were
         layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_e[:] = [5, 0, 3]
-        layer.record.r_s[:] = rng.standard_normal(layer.d)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [5, 0, 3]
+        rec.r_s[:] = rng.standard_normal(layer.d)
         kept = [p.value[[0, 2]].copy() for p in layer.experts.params()]
         twin = copy.deepcopy(rng)
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
         assert report.removed_experts == [1] and report.added
         fresh = ExpertMlp.random(layer.d, layer.h, 1, twin)
         for p, q, old in zip(layer.experts.params(), fresh.params(), kept):
@@ -243,19 +263,6 @@ class TestInitNewExpert:
         for strategy in ("paper_rs", "average"):
             with pytest.raises(ConfigError, match=r"unknown key.*adapt\.init_strategy"):
                 parse_config_doc({"adapt": {"init_strategy": strategy}})
-
-    def test_empty_expert_list_rejected(self, rng):
-        # adapt never empties the bank it appends the new expert to: with
-        # every expert unused it keeps the lowest-index one
-        layer = build_layer(rng, n_experts=3)
-        layer.record.start()
-        layer.record.r_s[:] = rng.standard_normal(layer.d)
-        kept = [p.value[0].copy() for p in layer.experts.params()]
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=8), rng)
-        assert report.clamped and report.removed_experts == [1, 2] and report.added
-        assert layer.n_experts == 2
-        for p, old in zip(layer.experts.params(), kept):
-            np.testing.assert_array_equal(p.value[0], old)
 
 
 class TestAdaptConfig:

@@ -113,6 +113,9 @@ class TestConfig:
         ({"sweep": {"n_experts_grid": [4, 1], "top_k_grid": [2]}}, r"sweep: .*\[\(1, 2\)\]"),
         ({"sweep": {"top_k_grid": [0]}}, r"sweep: .*\[\(2, 0\), \(4, 0\), \(8, 0\)\]"),
         ({"task": {"n_samples": 1}}, r"task: n_samples must be at least 2"),
+        # the top-k sizes are refused, not ignored, under the DynMoE router
+        ({"router": {"n_experts": 8, "top_k": 3}}, r"router: n_experts is for kind 'topk'"),
+        ({"router": {"kind": "dynmoe", "top_k": 3}}, r"router: top_k is for kind 'topk'"),
     ])
     def test_bad_value_names_its_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
@@ -184,6 +187,23 @@ class TestCli:
     def test_report_empty_dir_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "no metrics found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit", [
+        ("metrics.csv", lambda text: "garbage\n" + text.split("\n", 1)[1]),
+        ("metrics.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + ",not-a-number\n"),
+        ("artifacts.json", lambda text: text[:-1]),
+        ("artifacts.json", lambda text: '{"k_trajectory": 5}'),
+    ], ids=["metrics_schema", "metrics_value", "artifacts_json", "artifacts_trajectory"])
+    def test_report_malformed_run_file_is_an_error(self, tmp_path, capsys, name, edit):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
+        run = tmp_path / "runs" / "r"
+        assert main(["train", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        (run / name).write_text(edit((run / name).read_text()))
+        assert main(["report", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run / name}: ")
+        assert not (tmp_path / "runs" / "report").exists()
 
     def test_eval_missing_checkpoint_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -359,6 +379,7 @@ class TestCli:
         ("train", {"train": {"n_classes": 1}}),
         ("train", {"train": {"eval_fraction": 0.5}}),
         ("train", {"train": {"optimizer": {"beta1": 0.9}}}),
+        ("sweep", {"router": {"n_experts": 8}}),
     ])
     def test_bad_section_exits_before_the_run(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path / "c.json", **section)

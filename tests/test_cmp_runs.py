@@ -21,7 +21,8 @@ def test_checkout_against_itself_is_identical(monkeypatch):
 
     monkeypatch.setattr(cmp_runs, "diff_dirs", spy)
     assert cmp_runs.compare(ROOT, ROOT, runs) == []
-    assert {"checkpoint.final", "eval/metrics.csv", "eval/artifacts.json"} <= set(compared)
+    assert {"checkpoint.final", "eval/metrics.csv", "eval/artifacts.json",
+            "report/k_trajectory.csv", "report/eval_accuracy.csv"} <= set(compared)
 
 
 def test_diff_dirs_names_changed_and_one_sided_files(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynmoe import harness
-from dynmoe.adaptive import AdaptConfig, adapt
+from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt
 from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.harness import (
     N_CLASSES,
@@ -516,7 +516,7 @@ class TestTrainStep:
         model = dynmoe_model(task.d, cfg, rng)
         before = [p.value.copy() for p in model.params()]
         opt = Adam(lr=0.0)
-        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, opt, False)
+        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, opt, None)
         for p, b in zip(model.params(), before):
             np.testing.assert_array_equal(p.value, b)
         assert np.isfinite(stats.task_loss)
@@ -530,7 +530,7 @@ class TestTrainStep:
         batch = (task.tokens[:16], task.labels[:16])
         logits, _, _ = model.forward(batch[0], mode="train")
         want_loss, _ = softmax_cross_entropy(logits, batch[1])
-        stats = train_step(model, batch, cfg, Adam(cfg.learning_rate), False)
+        stats = train_step(model, batch, cfg, Adam(cfg.learning_rate), None)
         assert abs(stats.task_loss - want_loss) < 1e-12
 
     def test_aux_matches_standalone_losses_module(self):
@@ -541,7 +541,7 @@ class TestTrainStep:
         rng = np.random.default_rng(cfg.seed)
         model = dynmoe_model(task.d, cfg, rng)
         w_snapshot = Param(model.layers[0].router.w_g.value.copy())
-        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, Adam(cfg.learning_rate), False)
+        stats = train_step(model, (task.tokens[:16], task.labels[:16]), cfg, Adam(cfg.learning_rate), None)
         want = diversity_simplicity_loss(w_snapshot)
         assert abs(stats.aux.diversity - want.diversity) < 1e-12
         assert abs(stats.aux.simplicity - want.simplicity) < 1e-12
@@ -579,10 +579,11 @@ class TestTrainStep:
 
         monkeypatch.setattr(Param, "accumulate", counted_accumulate)
         monkeypatch.setattr(RouterParams, "route", counted_route)
+        records = [RoutingRecord.fresh(layer.n_experts, layer.d) for layer in model.layers]
         for step in range(2):
             accumulated.clear()
             rows = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
-            train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt, True)
+            train_step(model, (task.tokens[rows], task.labels[rows]), cfg, opt, records)
             assert sorted(accumulated) == ["b_out", "g", "w_g", "w_g", "w_out"]
         assert len(routes) == 2
         accuracy, stats, _ = evaluate(model, task.tokens[:256], task.labels[:256])
@@ -638,10 +639,10 @@ class TestModelBackward:
         model = dynmoe_model(self.D, cfg, rng)
         if state == "post_adapt":
             for layer in model.layers:
-                layer.record.start()
-                layer.record.r_e[:] = [4, 0, 2]
-                layer.record.r_s[:] = rng.standard_normal(self.D)
-                report = adapt(layer, layer.record, cfg.adapt, rng)
+                rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+                rec.r_e[:] = [4, 0, 2]
+                rec.r_s[:] = rng.standard_normal(self.D)
+                report = adapt(layer, rec, cfg.adapt, rng)
                 assert report.removed_experts == [1] and report.added
         return model, rng
 
@@ -714,7 +715,7 @@ class TestPairwiseDispatch:
         n_served = int((decision.k > 0).sum())
         assert 0 < decision.k.sum() < n_served * 4
         rows = self.count_rows(monkeypatch)
-        train_step(model, (tokens, labels), cfg, Adam(cfg.learning_rate), False)
+        train_step(model, (tokens, labels), cfg, Adam(cfg.learning_rate), None)
         assert rows["backward"] == decision.k.sum()
         # activated pairs plus the non-activated pairs of served tokens
         assert rows["forward"] == n_served * 4
@@ -741,7 +742,7 @@ class TestPairwiseDispatch:
 
         monkeypatch.setattr(ExpertMlp, "backward", backward)
         monkeypatch.setattr(moe_layer, "erf", erf)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), False)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), None)
         assert rows["forward"] > 0 and rows["backward"] > 0
         assert erf_elements == {"forward": rows["forward"] * cfg.hidden, "backward": 0}
 
@@ -771,7 +772,7 @@ class TestPairwiseDispatch:
         cfg = small_cfg(adapt=None)
         model = topk_model(task.d, cfg, 4, 2, np.random.default_rng(cfg.seed))
         rows = self.count_rows(monkeypatch)
-        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), False)
+        train_step(model, (task.tokens[:32], task.labels[:32]), cfg, Adam(cfg.learning_rate), None)
         assert rows == {"forward": 32 * 2, "backward": 32 * 2}
 
 

@@ -38,7 +38,6 @@ def layer_with_router(rng, w, g, d, h):
     return MoeLayer(
         router=RouterParams(w_g=Param(w), g=Param(g)),
         experts=ExpertMlp.random(d, h, n_experts, rng),
-        record=RoutingRecord.fresh(n_experts, d),
     )
 
 
@@ -135,7 +134,6 @@ class TestMoeForward:
                 g=Param(layer.router.g.value[perm].copy()),
             ),
             experts=ExpertMlp.from_arrays(*(p.value[perm] for p in layer.experts.params())),
-            record=RoutingRecord.fresh(4, layer.d),
         )
         out_perm, _ = moe_forward(permuted, tokens)
         assert rel_err(out_perm, out) < 1e-12
@@ -314,10 +312,10 @@ def edge_batch_layer(rng, state):
     d, h = 4, 5
     layer = layer_with_router(rng, rng.standard_normal((d, 3)), np.array([0.0, 0.0, 8.0]), d, h)
     if state == "post_adapt":
-        layer.record.start()
-        layer.record.r_e[:] = [3, 0, 2]
-        layer.record.r_s[:] = rng.standard_normal(d)
-        report = adapt(layer, layer.record, AdaptConfig(max_experts=3), rng)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [3, 0, 2]
+        rec.r_s[:] = rng.standard_normal(d)
+        report = adapt(layer, rec, AdaptConfig(max_experts=3), rng)
         assert report.removed_experts == [1] and report.added
         # the new expert carries threshold 0; silence the first one instead
         layer.router.g.value[:] = [8.0, 0.0, 0.0]
@@ -446,8 +444,7 @@ class TestCheckpoint:
     def test_empty_or_repeated_key_refused(self, rng, tmp_path, w_g_name, g_name, key):
         w = rng.standard_normal((5, 3))
         router = RouterParams(w_g=Param(w, name=w_g_name), g=Param(np.zeros(3), name=g_name))
-        layer = MoeLayer(router=router, experts=ExpertMlp.random(5, 4, 3, rng),
-                         record=RoutingRecord.fresh(3, 5))
+        layer = MoeLayer(router=router, experts=ExpertMlp.random(5, 4, 3, rng))
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match=f"layer 0: tensor key '{key}' is empty or repeated"):
             save_model(one_layer_model(layer, rng), path)
@@ -472,9 +469,10 @@ class TestCheckpoint:
                               Param(rng.standard_normal(2), name="b_out"))
         if adapted and router == "top_any":
             for layer in layers:
-                layer.record.r_e[1:] = 1
-                layer.record.r_s[:] = rng.standard_normal(d)
-                report = adapt(layer, layer.record, AdaptConfig(max_experts=n_experts), rng)
+                rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+                rec.r_e[1:] = 1
+                rec.r_s[:] = rng.standard_normal(d)
+                report = adapt(layer, rec, AdaptConfig(max_experts=n_experts), rng)
                 assert report.removed_experts == [0] and report.added
         path = tmp_path_factory.mktemp("ckpt") / "model.json"
         save_model(model, path)

@@ -8,10 +8,11 @@ runs every command of ``RUNS`` once with ``PYTHONPATH=<tree>/src`` for each
 tree (``--tree`` defaults to the checkout holding this script), with BLAS on
 one thread, in a temporary directory. After each ``train`` or ``baseline``
 run, each tree runs ``dynmoe eval`` on its own ``checkpoint.final`` into
-``eval/``. It compares every file the runs write: ``checkpoint.final``,
-``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``, ``config.snapshot``,
-the sweep's ``comparison.csv`` and the eval's ``metrics.csv`` and
-``artifacts.json``.
+``eval/``. Last, after every run, each tree runs ``dynmoe report`` on its
+output directory into ``report/``. It compares every file the runs write:
+``checkpoint.final``, ``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``,
+``config.snapshot``, the sweep's ``comparison.csv``, the eval's
+``metrics.csv`` and ``artifacts.json``, and the report's tables.
 It prints the files that differ or exist on one side only, those named by
 an ``--expect FILE`` (repeatable; matched against the end of each path, as
 ``PurePath.match`` does, so ``config.snapshot`` names every run's snapshot)
@@ -103,6 +104,7 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS) -> list[str]:
             if args[0] in ("train", "baseline"):
                 _both(f"{name} eval", trees, sides, lambda out: [
                     "eval", str(out / "checkpoint.final"), str(config), "--out", str(out / "eval")])
+            _both(f"{name} report", trees, sides, lambda out: ["report", str(out)])
             differing += [f"{name}/{rel}" for rel in diff_dirs(*sides)]
     return differing
 

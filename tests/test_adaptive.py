@@ -118,22 +118,17 @@ class TestAdapt:
         assert report.removed_experts == [] and not report.added
         assert report.new_k_total == 3
 
-    def test_all_unused_keeps_lowest_index_and_appends_new(self, rng):
-        # adapt never empties the bank it appends the new expert to: with
-        # every expert unused it keeps the lowest-index one, then appends
-        # one if tokens went unserved
-        for unserved in (False, True):
-            layer = build_layer(rng, n_experts=3)
-            rec = RoutingRecord.fresh(layer.n_experts, layer.d)
-            if unserved:
-                rec.r_s[:] = rng.standard_normal(layer.d)
-            kept = [p.value[0].copy() for p in layer.experts.params()]
-            report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
-            assert report.clamped and report.removed_experts == [1, 2]
-            assert report.added == unserved
-            assert report.new_k_total == layer.n_experts == 1 + unserved
-            for p, old in zip(layer.experts.params(), kept):
-                np.testing.assert_array_equal(p.value[0], old)
+    def test_min_experts_clamp_keeps_lowest_index(self, rng):
+        # adapt keeps at least one expert: with every expert unused, the
+        # lowest-index one survives
+        layer = build_layer(rng, n_experts=3)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_e[:] = [0, 0, 0]
+        cfg = AdaptConfig(max_experts=8)
+        report = adapt(layer, rec, cfg, rng)
+        assert report.clamped
+        assert report.removed_experts == [1, 2]
+        assert report.new_k_total == 1
 
     @pytest.mark.parametrize("n_record", [2, 4])
     def test_record_that_does_not_fit_the_layer_is_refused(self, rng, n_record):
@@ -263,6 +258,19 @@ class TestInitNewExpert:
         for strategy in ("paper_rs", "average"):
             with pytest.raises(ConfigError, match=r"unknown key.*adapt\.init_strategy"):
                 parse_config_doc({"adapt": {"init_strategy": strategy}})
+
+    def test_empty_expert_list_rejected(self, rng):
+        # adapt never empties the bank it appends the new expert to: with
+        # every expert unused it keeps the lowest-index one
+        layer = build_layer(rng, n_experts=3)
+        rec = RoutingRecord.fresh(layer.n_experts, layer.d)
+        rec.r_s[:] = rng.standard_normal(layer.d)
+        kept = [p.value[0].copy() for p in layer.experts.params()]
+        report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
+        assert report.clamped and report.removed_experts == [1, 2] and report.added
+        assert layer.n_experts == 2
+        for p, old in zip(layer.experts.params(), kept):
+            np.testing.assert_array_equal(p.value[0], old)
 
 
 class TestAdaptConfig:

@@ -15,9 +15,8 @@ from dynmoe import (
     RouterParams,
     diversity_simplicity_loss,
     finite_diff_grad,
-    route_top_any,
-    route_top_any_backward,
 )
+from dynmoe.router import route_top_any, route_top_any_backward
 
 rng = np.random.default_rng(1)
 

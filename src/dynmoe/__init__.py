@@ -21,17 +21,7 @@ from .numerics import (
     finite_diff_grad,
     sigmoid,
 )
-from .router import (
-    GatingDecision,
-    RouterParams,
-    TopKDecision,
-    TopKRouter,
-    route_eval,
-    route_top_any,
-    route_top_any_backward,
-    route_top_k_backward,
-    route_top_k_baseline,
-)
+from .router import GatingDecision, RouterParams, TopKDecision, TopKRouter
 
 __all__ = [
     "AdaptConfig",
@@ -57,11 +47,6 @@ __all__ = [
     "moe_backward",
     "moe_forward",
     "record",
-    "route_eval",
-    "route_top_any",
-    "route_top_any_backward",
-    "route_top_k_backward",
-    "route_top_k_baseline",
     "sigmoid",
 ]
 

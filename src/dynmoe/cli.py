@@ -170,7 +170,7 @@ def cmd_report(args) -> int:
         run_dirs.extend(sorted(p.parent for p in logdir.glob("*/metrics.csv")))
     if not run_dirs:
         print("error: no metrics found", file=sys.stderr)
-        return 1
+        return 2
 
     by_metric: dict[str, list[list]] = {
         "avg_top_k": [], "activation_frequency": [], "gate_thresholds": [],
@@ -186,9 +186,13 @@ def cmd_report(args) -> int:
             path = run / "artifacts.json"
             if path.is_file():
                 artifacts = json.loads(path.read_text())
-                k_trajectories[name] = [[name, step, layer, count]
-                                        for step, counts in artifacts.get("k_trajectory", [])
-                                        for layer, count in enumerate(counts)]
+                rows = k_trajectories[name] = []
+                for step, counts in artifacts.get("k_trajectory", []):
+                    if type(step) is not int or type(counts) is not list or \
+                            any(type(count) is not int for count in counts):
+                        raise ValueError(f"k_trajectory entry {[step, counts]} is not an "
+                                         "integer step and a list of integer counts")
+                    rows.extend([name, step, layer, count] for layer, count in enumerate(counts))
                 similarity[name] = artifacts.get("similarity", [])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)

@@ -207,7 +207,7 @@ def route_eval(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
         # argmax returns the first maximum, i.e. the lowest expert index.
         best = decision.sig_s[empty].argmax(axis=1)
         decision.mask[empty.nonzero()[0], best] = 1.0
-        decision.k = np.add.reduce(decision.mask, axis=1).astype(np.int64)
+        decision.k[empty] = 1
     return decision
 
 
@@ -225,65 +225,6 @@ class TopKDecision:
     scores: np.ndarray   # (N, K) full softmax distribution
     weights: np.ndarray  # (N, K)
     expert_cache: tuple[list, np.ndarray] | None = field(default=None, repr=False)
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise softmax."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def route_top_k_baseline(tokens: np.ndarray, w_g: Param, k: int) -> TopKDecision:
-    """Conventional softmax top-k gate over a plain linear router.
-
-    No cosine normalization and no thresholds: scores are softmax(x @ w_g),
-    the k highest are selected (ties broken toward the lowest expert index),
-    and the selected scores are renormalized into combine weights.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    n_experts = w_g.value.shape[1]
-    if not 1 <= k <= n_experts:
-        raise ConfigurationError(f"top-k value {k} not in [1, {n_experts}]")
-    scores = softmax_rows(tokens @ w_g.value)
-    order = np.argsort(-scores, axis=1, kind="stable")
-    mask = np.zeros_like(scores)
-    np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
-    selected = scores * mask
-    weights = selected / selected.sum(axis=1, keepdims=True)
-    kvec = np.full(tokens.shape[0], k, dtype=np.int64)
-    return TopKDecision(mask=mask, k=kvec, scores=scores, weights=weights)
-
-
-def route_top_k_backward(
-    decision: TopKDecision,
-    d_weights: np.ndarray,
-    tokens: np.ndarray,
-    w_g: Param,
-) -> np.ndarray:
-    """Backward through renormalized-softmax combine weights.
-
-    The selection set is piecewise constant and treated as fixed; gradients
-    flow through the renormalization and the softmax into w_g and the
-    tokens.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    d_weights = np.asarray(d_weights, dtype=np.float64)
-    if d_weights.shape != decision.weights.shape:
-        raise DimensionError(
-            f"d_weights shape {d_weights.shape} does not match weights shape "
-            f"{decision.weights.shape}"
-        )
-    p = decision.scores
-    total = (p * decision.mask).sum(axis=1, keepdims=True)
-    # weights_e = p_e m_e / total, with total summed over the selected set.
-    dp = (decision.mask / total) * (
-        d_weights - (d_weights * decision.weights).sum(axis=1, keepdims=True)
-    )
-    dz = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-    w_g.accumulate(tokens.T @ dz)
-    return dz @ w_g.value.T
 
 
 @dataclass(eq=False)
@@ -327,10 +268,20 @@ class TopKRouter:
         return self.w_g.value.size
 
     def route(self, tokens: np.ndarray, mode: str) -> tuple[TopKDecision, np.ndarray]:
-        """The same selection in both modes; the combine weights are the
-        renormalized selected scores."""
-        decision = route_top_k_baseline(tokens, self.w_g, self.top_k)
-        return decision, decision.weights
+        """The same selection in both modes. No cosine normalization and no
+        thresholds: scores are softmax(x @ w_g), the ``top_k`` highest are
+        selected (ties broken toward the lowest expert index), and the
+        selected scores, renormalized, are the combine weights."""
+        z = tokens @ self.w_g.value
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        scores = e / e.sum(axis=1, keepdims=True)
+        order = np.argsort(-scores, axis=1, kind="stable")
+        mask = np.zeros_like(scores)
+        np.put_along_axis(mask, order[:, : self.top_k], 1.0, axis=1)
+        selected = scores * mask
+        weights = selected / selected.sum(axis=1, keepdims=True)
+        k = np.full(tokens.shape[0], self.top_k, dtype=np.int64)
+        return TopKDecision(mask=mask, k=k, scores=scores, weights=weights), weights
 
     def unactivated_pairs(self, decision: TopKDecision) -> None:
         """None: the selection is held fixed in the backward, so no pair
@@ -338,5 +289,18 @@ class TopKRouter:
         return None
 
     def backward(self, decision, weights, dots, tokens) -> np.ndarray:
-        """``dots`` is the gradient of the combine weights."""
-        return route_top_k_backward(decision, dots, tokens, self.w_g)
+        """Backward through the renormalized softmax; ``dots`` is the gradient
+        of the combine weights. The selection set is piecewise constant and
+        held fixed; gradients flow through the renormalization and the
+        softmax into ``w_g`` and the tokens."""
+        if dots.shape != weights.shape:
+            raise DimensionError(
+                f"dots shape {dots.shape} does not match weights shape {weights.shape}"
+            )
+        p = decision.scores
+        total = (p * decision.mask).sum(axis=1, keepdims=True)
+        # weights_e = p_e m_e / total, with total summed over the selected set.
+        dp = (decision.mask / total) * (dots - (dots * weights).sum(axis=1, keepdims=True))
+        dz = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        self.w_g.accumulate(tokens.T @ dz)
+        return dz @ self.w_g.value.T

@@ -118,7 +118,7 @@ class TestAdapt:
         assert report.removed_experts == [] and not report.added
         assert report.new_k_total == 3
 
-    def test_min_experts_clamp_keeps_lowest_index(self, rng):
+    def test_all_unused_keeps_only_the_lowest_index(self, rng):
         # adapt keeps at least one expert: with every expert unused, the
         # lowest-index one survives
         layer = build_layer(rng, n_experts=3)
@@ -259,7 +259,7 @@ class TestInitNewExpert:
             with pytest.raises(ConfigError, match=r"unknown key.*adapt\.init_strategy"):
                 parse_config_doc({"adapt": {"init_strategy": strategy}})
 
-    def test_empty_expert_list_rejected(self, rng):
+    def test_all_unused_keeps_the_lowest_index_and_appends_one(self, rng):
         # adapt never empties the bank it appends the new expert to: with
         # every expert unused it keeps the lowest-index one
         layer = build_layer(rng, n_experts=3)

@@ -185,7 +185,7 @@ class TestCli:
         assert "bad.json:1" in capsys.readouterr().err
 
     def test_report_empty_dir_fails(self, tmp_path, capsys):
-        assert main(["report", str(tmp_path)]) == 1
+        assert main(["report", str(tmp_path)]) == 2
         assert "no metrics found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit", [
@@ -193,7 +193,9 @@ class TestCli:
         ("metrics.csv", lambda text: text.rstrip("\n").rsplit(",", 1)[0] + ",not-a-number\n"),
         ("artifacts.json", lambda text: text[:-1]),
         ("artifacts.json", lambda text: '{"k_trajectory": 5}'),
-    ], ids=["metrics_schema", "metrics_value", "artifacts_json", "artifacts_trajectory"])
+        ("artifacts.json", lambda text: '{"k_trajectory": [[0, ["x"]], ["late", [2]]]}'),
+    ], ids=["metrics_schema", "metrics_value", "artifacts_json", "artifacts_trajectory",
+            "artifacts_trajectory_values"])
     def test_report_malformed_run_file_is_an_error(self, tmp_path, capsys, name, edit):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))

@@ -6,12 +6,10 @@ import pytest
 from dynmoe.numerics import ConfigurationError, DegenerateInputError, Param, sigmoid
 from dynmoe.router import (
     RouterParams,
+    TopKRouter,
     route_eval,
     route_top_any,
     route_top_any_backward,
-    route_top_k_backward,
-    route_top_k_baseline,
-    softmax_rows,
 )
 
 from conftest import rel_err
@@ -258,35 +256,37 @@ class TestTopKBaseline:
     def test_k_equals_K_selects_everything(self, rng):
         w_g = Param(rng.standard_normal((4, 2)))
         tokens = rng.standard_normal((5, 4))
-        dec = route_top_k_baseline(tokens, w_g, k=2)
+        dec, _ = TopKRouter(w_g, top_k=2).route(tokens, "train")
         np.testing.assert_array_equal(dec.mask, 1.0)
         # weights are the softmax itself, which already sums to one
         assert rel_err(dec.weights, dec.scores) < 1e-12
 
     def test_dominant_logit_top1(self):
         w_g = Param(np.eye(3))
-        dec = route_top_k_baseline(np.array([[10.0, 0.0, 0.0]]), w_g, k=1)
+        dec, _ = TopKRouter(w_g, top_k=1).route(np.array([[10.0, 0.0, 0.0]]), "train")
         np.testing.assert_array_equal(dec.mask, [[1.0, 0.0, 0.0]])
         assert abs(dec.weights[0, 0] - 1.0) < 1e-15
 
     def test_matches_sort_oracle(self, rng):
         w_g = Param(rng.standard_normal((6, 4)))
         tokens = rng.standard_normal((5, 6))
-        dec = route_top_k_baseline(tokens, w_g, k=2)
-        scores = softmax_rows(tokens @ w_g.value)
+        dec, _ = TopKRouter(w_g, top_k=2).route(tokens, "train")
+        logits = tokens @ w_g.value
         for i in range(5):
-            order = sorted(range(4), key=lambda e: (-scores[i, e], e))
+            exps = [math.exp(z - max(logits[i])) for z in logits[i]]
+            scores = [v / sum(exps) for v in exps]
+            order = sorted(range(4), key=lambda e: (-scores[e], e))
             chosen = set(order[:2])
             assert set(np.nonzero(dec.mask[i])[0]) == chosen
-            total = sum(scores[i, e] for e in chosen)
+            total = sum(scores[e] for e in chosen)
             for e in chosen:
-                assert abs(dec.weights[i, e] - scores[i, e] / total) < 1e-12
+                assert abs(dec.weights[i, e] - scores[e] / total) < 1e-12
         assert np.all(dec.k == 2)
 
     def test_k_out_of_range_rejected(self, rng):
         w_g = Param(rng.standard_normal((3, 2)))
         with pytest.raises(ConfigurationError):
-            route_top_k_baseline(rng.standard_normal((1, 3)), w_g, k=3)
+            TopKRouter(w_g, top_k=3)
 
     def test_backward_matches_finite_differences(self, rng):
         from dynmoe.numerics import finite_diff_grad
@@ -296,11 +296,12 @@ class TestTopKBaseline:
         w_g = Param(rng.standard_normal((d, n_experts)))
         coeff = rng.standard_normal((n, n_experts))
 
-        dec = route_top_k_baseline(tokens, w_g, k)
-        route_top_k_backward(dec, coeff, tokens, w_g)
+        router = TopKRouter(w_g, top_k=k)
+        dec, weights = router.route(tokens, "train")
+        router.backward(dec, weights, coeff, tokens)
 
         def objective(p):
-            d2 = route_top_k_baseline(tokens, p, k)
+            d2, _ = TopKRouter(p, top_k=k).route(tokens, "train")
             # selection must not flip under the probe for FD to be valid
             assert np.array_equal(d2.mask, dec.mask)
             return float((coeff * d2.weights).sum())

@@ -26,7 +26,7 @@ center = rng.standard_normal(D)
 center /= np.linalg.norm(center)
 cluster = center[None, :] + 0.05 * rng.standard_normal((30, D))
 
-decision = layer.router.route(cluster, "train")[0]
+decision = layer.router.route(cluster, "train")
 print(f"cluster of 30 tokens: activation counts per expert = "
       f"{decision.mask.sum(axis=0).astype(int).tolist()}, unserved = "
       f"{int((decision.k == 0).sum())}")
@@ -39,7 +39,7 @@ report = adapt(layer, rec, AdaptConfig(max_experts=8), rng)
 print(f"\nadapt: removed {report.removed_experts} (never activated, clamped to "
       f"keep at least 1), added one expert -> {report.new_k_total} experts")
 
-after = layer.router.route(cluster, "train")[0]
+after = layer.router.route(cluster, "train")
 print(f"the new expert now catches the whole cluster: "
       f"{int(after.mask[:, -1].sum())}/30 tokens, its threshold = "
       f"{layer.router.g.value[-1]:.1f}")

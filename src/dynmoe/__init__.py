@@ -21,24 +21,23 @@ from .numerics import (
     finite_diff_grad,
     sigmoid,
 )
-from .router import GatingDecision, RouterParams, TopKDecision, TopKRouter
+from .router import Decision, RouterParams, TopKRouter
 
 __all__ = [
     "AdaptConfig",
     "AdaptReport",
     "AuxLossReport",
     "ConfigurationError",
+    "Decision",
     "DegenerateInputError",
     "DimensionError",
     "DivergenceError",
     "ExpertMlp",
-    "GatingDecision",
     "MoeLayer",
     "NonFiniteError",
     "Param",
     "RouterParams",
     "RoutingRecord",
-    "TopKDecision",
     "TopKRouter",
     "adapt",
     "cosine_scores_batch",

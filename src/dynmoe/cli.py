@@ -91,6 +91,16 @@ def load_spec(args) -> RunSpec:
     return parse_config_doc(doc, origin=str(args.config))
 
 
+def out_dir(out: str | None, default: str) -> Path:
+    """The ``--out`` directory, ``default`` if not given, checked before any
+    work: the path and each of its parents that exists must be a directory."""
+    path = Path(out or default)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+    return path
+
+
 def _train(spec: RunSpec, outdir: Path) -> RunResult:
     task = gen_task(**asdict(spec.task))
     if spec.router.kind == "topk":
@@ -102,7 +112,7 @@ def _train(spec: RunSpec, outdir: Path) -> RunResult:
 
 
 def cmd_train(args) -> int:
-    outdir = Path(args.out or "runs/train")
+    outdir = out_dir(args.out, "runs/train")
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} mean_k={result.mean_k:.3f} "
           f"n_experts={sum(result.k_trajectory[-1][1])}")
@@ -112,7 +122,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    outdir = Path(args.out or f"runs/baseline_K{args.K}_k{args.k}")
+    outdir = out_dir(args.out, f"runs/baseline_K{args.K}_k{args.k}")
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} K={args.K} k={args.k}")
     print(f"run_dir={outdir}")
@@ -122,6 +132,7 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     """Score a checkpoint on the held-out rows of the config's task: the rows
     the training run evaluated on, never the ones it trained on."""
+    outdir = out_dir(args.out, "runs/eval")
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
@@ -137,7 +148,6 @@ def cmd_eval(args) -> int:
     mean_k = float(np.mean([ps.mean_top_k for ps in stats]))
     metrics = MetricsLog()
     log_eval(metrics, 0, model, accuracy, stats)  # same rows the training loop emits
-    outdir = Path(args.out or "runs/eval")
     outdir.mkdir(parents=True, exist_ok=True)
     metrics.to_csv(outdir / "metrics.csv")
     artifacts = {
@@ -228,9 +238,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    outdir = out_dir(args.out, "runs/sweep")
     spec = load_spec(args)
     task = gen_task(**asdict(spec.task))
-    outdir = Path(args.out or "runs/sweep")
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -303,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,17 @@
 """Expert MLPs, pair-wise dispatch and combine, and the full layer backward.
 
 One layer serves both routers (``router.RouterParams``, top-any, and
-``router.TopKRouter``, the softmax top-k baseline). Forward: the router
-gives a decision and combine weights, each token runs exactly the experts
-its mask activates, and the layer output is their weighted sum: the
-unweighted mean under top-any routing (tokens that activate nothing output
-the zero vector in training mode, which reads as identity pass-through
-under a residual connection), the renormalized softmax scores under top-k.
+``router.TopKRouter``, the softmax top-k baseline). Forward: the router's
+``route`` gives one ``router.Decision`` holding the mask and the combine
+weights, each token runs exactly the experts its mask activates, and the
+layer output is their weighted sum: the unweighted mean under top-any
+routing (tokens that activate nothing output the zero vector in training
+mode, which reads as identity pass-through under a residual connection),
+the renormalized softmax scores under top-k.
 Dispatch is pair-wise: each expert runs once, on the rows that activate it.
-In training mode the combine weights and the outputs and expert caches of
-those activated pairs are kept on the decision, and the backward reuses them
-instead of computing the weights again or running any expert again on them.
+In training mode the outputs and expert caches of those activated pairs are
+kept on the decision (``Decision.pairs``), and the backward reuses them and
+the decision's weights instead of running any expert again on them.
 In eval mode nothing is kept, and every expert runs in one workspace
 allocated per call, so a batch touches its pages once instead of once per
 expert (see ``_dispatch``).
@@ -19,7 +20,7 @@ Backward composition, per token i with upstream u_i = dL/dy_i:
 
     d expert_e output   = u_i * weights[i, e]           (activated pairs only)
     dots[i, e]          = <u_i, E_e(x_i)>
-    d tokens            = expert input path + router path (from the dots)
+    d tokens            = expert input path + router.backward(decision, dots, tokens)
 
 The top-any router turns the dots into its straight-through mask seed
 <u_i, E_e(x_i) - y_i> / k_i, which treats the combine as
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.special import erf
 
 from .numerics import DimensionError, Param
-from .router import GatingDecision, RouterParams, TopKDecision, TopKRouter
+from .router import Decision, RouterParams, TopKRouter
 
 # bench/tracing.py wraps the top-any routing functions under these names; they
 # stay here until its table follows them into the routers' methods.
@@ -246,18 +247,9 @@ def _dispatch(
     return out, pairs
 
 
-def _require_cache(cache):
-    if cache is None:
-        raise ValueError(
-            "no expert cache: the backward needs the decision or cache of a "
-            "train-mode forward (eval-mode and bare router decisions carry none)"
-        )
-    return cache
-
-
 def _pairs_backward(
     experts: ExpertMlp,
-    pairs: list | None,
+    pairs: list,
     upstream: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +261,7 @@ def _pairs_backward(
     """
     d_tokens = np.zeros(upstream.shape)
     dots = np.zeros(weights.shape)
-    for e, idx, out_e, cache_e in _require_cache(pairs):
+    for e, idx, out_e, cache_e in pairs:
         u = upstream[idx]
         dots[idx, e] = np.add.reduce(out_e * u, axis=1)
         d_tokens[idx] += experts.backward(e, cache_e, u * weights[idx, e, None])
@@ -278,40 +270,38 @@ def _pairs_backward(
 
 def moe_forward(
     layer: MoeLayer, tokens: np.ndarray, mode: str = "train"
-) -> tuple[np.ndarray, GatingDecision | TopKDecision]:
+) -> tuple[np.ndarray, Decision]:
     """Route tokens and return the router-weighted sum of their activated
     experts' outputs.
 
-    ``mode="train"`` caches the activated pairs and the combine weights on
-    the decision for :func:`moe_backward`; ``mode="eval"`` keeps no cache,
-    and a top-any router falls back to top-1 so every token runs at least
-    one expert (in training mode its k = 0 rows output the zero vector).
+    ``mode="train"`` caches the activated pairs on the decision for
+    :func:`moe_backward`; ``mode="eval"`` keeps no cache, and a top-any
+    router falls back to top-1 so every token runs at least one expert (in
+    training mode its k = 0 rows output the zero vector).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     tokens = np.asarray(tokens, dtype=np.float64)
-    decision, weights = layer.router.route(tokens, mode)
-    out, pairs = _dispatch(layer.experts, tokens, decision.mask, weights, keep_cache=mode == "train")
-    if pairs is not None:
-        decision.expert_cache = (pairs, weights)
+    decision = layer.router.route(tokens, mode)
+    out, decision.pairs = _dispatch(layer.experts, tokens, decision.mask, decision.weights,
+                                    keep_cache=mode == "train")
     return out, decision
 
 
 def moe_backward(
     layer: MoeLayer,
-    decision: GatingDecision | TopKDecision,
+    decision: Decision,
     tokens: np.ndarray,
     upstream: np.ndarray,
 ) -> np.ndarray:
     """Accumulate gradients for all layer params; return the token gradient.
 
     ``decision`` must come from a train-mode :func:`moe_forward` on
-    ``tokens``: it carries the combine weights and the cached activated
-    pairs, and without them (eval-mode or bare router decisions) this raises
-    ``ValueError``. The top-any eval fallback would also break the
-    mask/threshold relation the straight-through rule relies on. Expert
-    weight gradients flow through the cached activated pairs scaled by their
-    combine weights. The router also gets the dots of the pairs it names in
+    ``tokens``: it carries the cached activated pairs, and without them
+    (eval-mode or bare router decisions) this raises ``ValueError``. The
+    top-any eval fallback would also break the mask/threshold relation the
+    straight-through rule relies on. Expert weight gradients flow through
+    the cached activated pairs scaled by their combine weights. The router also gets the dots of the pairs it names in
     ``unactivated_pairs``, from one forward-only pass per expert over
     exactly those rows.
     """
@@ -325,8 +315,12 @@ def moe_backward(
     if decision.mask.shape[1] != layer.n_experts:
         raise DimensionError("decision does not match the layer's current expert count")
 
-    pairs, weights = _require_cache(decision.expert_cache)
-    d_tokens, dots = _pairs_backward(layer.experts, pairs, upstream, weights)
+    if decision.pairs is None:
+        raise ValueError(
+            "no expert cache: the backward needs the decision of a train-mode "
+            "forward (eval-mode and bare router decisions carry none)"
+        )
+    d_tokens, dots = _pairs_backward(layer.experts, decision.pairs, upstream, decision.weights)
     off = layer.router.unactivated_pairs(decision)
     if off is not None:
         for e in range(layer.n_experts):
@@ -334,5 +328,5 @@ def moe_backward(
             if idx.size:
                 out_e = layer.experts.forward(e, tokens[idx])[0]
                 dots[idx, e] = np.add.reduce(out_e * upstream[idx], axis=1)
-    d_tokens += layer.router.backward(decision, weights, dots, tokens)
+    d_tokens += layer.router.backward(decision, dots, tokens)
     return d_tokens

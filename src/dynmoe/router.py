@@ -9,10 +9,11 @@ A fixed-cardinality softmax top-k router (GShard, Lepikhin et al., arXiv
 2006.16668) is provided as the conventional baseline.
 
 Both routers give an MoE layer the same three things: ``route(tokens, mode)``,
-the decision and the combine weights; ``unactivated_pairs(decision)``, the
-token-expert pairs outside the decision whose expert outputs the backward
-needs; and ``backward(decision, weights, dots, tokens)``, which takes
-``dots[i, e] = <dL/dy_i, E_e(x_i)>`` and returns the router's token gradient.
+a :class:`Decision` that carries the mask and the combine weights;
+``unactivated_pairs(decision)``, the token-expert pairs outside the decision
+whose expert outputs the backward needs; and ``backward(decision, dots,
+tokens)``, which takes ``dots[i, e] = <dL/dy_i, E_e(x_i)>`` and returns the
+router's token gradient.
 
 Chain rule used by the straight-through backward, for token i and expert e
 with up = dL/dmask:
@@ -39,6 +40,29 @@ from .numerics import (
     sigmoid,
     vector_norm,
 )
+
+
+@dataclass
+class Decision:
+    """One batch's routing outcome, from either router.
+
+    ``mask`` is the {0, 1} indicator of the experts each token runs and ``k``
+    its row sums; under top-any ``k`` may be zero in training mode.
+    ``weights`` are the combine weights: mask / k under top-any (zero rows
+    where k = 0), the selected softmax scores renormalized per token under
+    top-k. ``scores`` is what the router's backward reads: sigmoid of the
+    cosine scores under top-any, the full softmax under top-k. ``pairs``
+    holds, for each expert some token activates, its index, the activated
+    rows, their outputs and the expert's forward cache. A train-mode layer
+    forward fills it for the layer backward, and it stays ``None``
+    everywhere else.
+    """
+
+    mask: np.ndarray     # (N, K) entries in {0.0, 1.0}
+    k: np.ndarray        # (N,) int64
+    weights: np.ndarray  # (N, K)
+    scores: np.ndarray   # (N, K)
+    pairs: list | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -98,54 +122,31 @@ class RouterParams:
     def param_count(self) -> int:
         return self.w_g.value.size + self.g.value.size
 
-    def route(self, tokens: np.ndarray, mode: str) -> tuple[GatingDecision, np.ndarray]:
-        """Top-any routing (with the top-1 fallback in eval mode) and the
-        mean-combine weights mask / k."""
-        decision = route_top_any(tokens, self) if mode == "train" else route_eval(tokens, self)
-        return decision, decision.mask * _inverse_k(decision)[:, None]
+    def route(self, tokens: np.ndarray, mode: str) -> Decision:
+        """Top-any routing, with the top-1 fallback in eval mode; the combine
+        weights are the mean over the activated experts, mask / k."""
+        return route_top_any(tokens, self) if mode == "train" else route_eval(tokens, self)
 
-    def unactivated_pairs(self, decision: GatingDecision) -> np.ndarray:
+    def unactivated_pairs(self, decision: Decision) -> np.ndarray:
         """The straight-through mask seed <u_i, E_e(x_i) - y_i> / k_i needs the
         experts a token did not activate too; rows with k_i = 0 have a zero
         seed."""
         return (decision.k > 0)[:, None] & (decision.mask == 0.0)
 
-    def backward(self, decision, weights, dots, tokens) -> np.ndarray:
+    def backward(self, decision: Decision, dots: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The mask gradient of the mean combine, read as sum_e m_e E_e / sum_e
         m_e, fed through the straight-through rule."""
-        d_mask = dots - np.add.reduce(weights * dots, axis=1, keepdims=True)
-        d_mask *= _inverse_k(decision)[:, None]
+        d_mask = dots - np.add.reduce(decision.weights * dots, axis=1, keepdims=True)
+        d_mask *= _inverse_k(decision.k)[:, None]
         return route_top_any_backward(decision, d_mask, tokens, self)
 
 
-@dataclass
-class GatingDecision:
-    """Routing outcome for one batch.
-
-    ``mask`` is the {0, 1} activation indicator, ``k`` the per-token count
-    of activated experts (row sums of the mask), ``s`` the raw cosine
-    scores, ``sig_s``/``sig_g`` their squashed forms. ``k`` may be zero in
-    training mode. ``expert_cache`` holds, for each expert some token
-    activates, its index, the activated rows, their outputs and the expert's
-    forward cache; then the combine weights. A train-mode layer forward
-    fills it for the layer backward, and it stays ``None`` everywhere else.
-    """
-
-    mask: np.ndarray   # (N, K) entries in {0.0, 1.0}
-    k: np.ndarray      # (N,) int64
-    s: np.ndarray      # (N, K)
-    sig_s: np.ndarray  # (N, K)
-    sig_g: np.ndarray  # (K,)
-    expert_cache: tuple[list, np.ndarray] | None = field(default=None, repr=False)
-
-
-def _inverse_k(decision: GatingDecision) -> np.ndarray:
+def _inverse_k(k: np.ndarray) -> np.ndarray:
     """Per-token 1 / k, 0 where k = 0."""
-    k = decision.k
     return np.divide(1.0, k, out=np.zeros(k.shape), where=k > 0)
 
 
-def route_top_any(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
+def route_top_any(tokens: np.ndarray, params: RouterParams) -> Decision:
     """Activate every expert whose squashed score strictly beats its threshold.
 
     Strictness matters at the boundary: a raw score of exactly the threshold
@@ -153,16 +154,15 @@ def route_top_any(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
     expert is activated precisely by tokens with positive cosine to it.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    s = cosine_scores_batch(tokens, params.w_g.value)
-    sig_s = expit(s)  # s is checked finite already
-    sig_g = sigmoid(params.g.value)
-    mask = (sig_s > sig_g[None, :]).astype(np.float64)
+    # the cosine scores are checked finite already
+    sig_s = expit(cosine_scores_batch(tokens, params.w_g.value))
+    mask = (sig_s > sigmoid(params.g.value)[None, :]).astype(np.float64)
     k = np.add.reduce(mask, axis=1).astype(np.int64)
-    return GatingDecision(mask=mask, k=k, s=s, sig_s=sig_s, sig_g=sig_g)
+    return Decision(mask=mask, k=k, weights=mask * _inverse_k(k)[:, None], scores=sig_s)
 
 
 def route_top_any_backward(
-    decision: GatingDecision,
+    decision: Decision,
     upstream: np.ndarray,
     tokens: np.ndarray,
     params: RouterParams,
@@ -170,7 +170,8 @@ def route_top_any_backward(
     """Straight-through backward: copy dL/dmask onto sigmoid(s) - sigmoid(g).
 
     Accumulates into ``params.w_g.grad`` and ``params.g.grad`` and returns
-    the gradient wrt the tokens.
+    the gradient wrt the tokens. sigmoid(g) is taken from ``params``: the
+    thresholds do not move between a forward and its backward.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -179,9 +180,9 @@ def route_top_any_backward(
             f"upstream shape {upstream.shape} does not match mask shape {decision.mask.shape}"
         )
     # mask ~ sig_s - sig_g
-    dgate = -np.add.reduce(upstream, axis=0) * decision.sig_g * (1.0 - decision.sig_g)
-    params.g.accumulate(dgate)
-    ds = upstream * decision.sig_s * (1.0 - decision.sig_s)
+    sig_g = sigmoid(params.g.value)
+    params.g.accumulate(-np.add.reduce(upstream, axis=0) * sig_g * (1.0 - sig_g))
+    ds = upstream * decision.scores * (1.0 - decision.scores)
     # chain ds through the cosine scores into w_g and the tokens
     w = params.w_g.value
     tok_norm = vector_norm(tokens, axis=1, keepdims=True)         # (N, 1)
@@ -194,37 +195,22 @@ def route_top_any_backward(
     return scaled @ w.T - tokens * (np.add.reduce(ds_s, axis=1, keepdims=True) / tok_norm**2)
 
 
-def route_eval(tokens: np.ndarray, params: RouterParams) -> GatingDecision:
+def route_eval(tokens: np.ndarray, params: RouterParams) -> Decision:
     """Evaluation-time routing: tokens that activate nothing fall back to top-1.
 
-    Rows with k = 0 get a one-hot mask at the highest squashed score
-    (lowest expert index wins ties); all other rows are identical to
+    Rows with k = 0 get a one-hot mask, and weight 1, at the highest squashed
+    score (lowest expert index wins ties); all other rows are identical to
     :func:`route_top_any`. Every returned k is therefore at least 1.
     """
     decision = route_top_any(tokens, params)
     empty = decision.k == 0
     if empty.any():
         # argmax returns the first maximum, i.e. the lowest expert index.
-        best = decision.sig_s[empty].argmax(axis=1)
-        decision.mask[empty.nonzero()[0], best] = 1.0
+        rows, best = empty.nonzero()[0], decision.scores[empty].argmax(axis=1)
+        decision.mask[rows, best] = 1.0
+        decision.weights[rows, best] = 1.0
         decision.k[empty] = 1
     return decision
-
-
-@dataclass
-class TopKDecision:
-    """Fixed-cardinality routing outcome, including combine weights.
-
-    ``weights`` are the selected softmax scores renormalized to sum to one
-    per token; unselected entries are zero. ``expert_cache`` is filled as on
-    :class:`GatingDecision`.
-    """
-
-    mask: np.ndarray     # (N, K) entries in {0.0, 1.0}
-    k: np.ndarray        # (N,) int64, constant
-    scores: np.ndarray   # (N, K) full softmax distribution
-    weights: np.ndarray  # (N, K)
-    expert_cache: tuple[list, np.ndarray] | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -267,7 +253,7 @@ class TopKRouter:
     def param_count(self) -> int:
         return self.w_g.value.size
 
-    def route(self, tokens: np.ndarray, mode: str) -> tuple[TopKDecision, np.ndarray]:
+    def route(self, tokens: np.ndarray, mode: str) -> Decision:
         """The same selection in both modes. No cosine normalization and no
         thresholds: scores are softmax(x @ w_g), the ``top_k`` highest are
         selected (ties broken toward the lowest expert index), and the
@@ -281,18 +267,19 @@ class TopKRouter:
         selected = scores * mask
         weights = selected / selected.sum(axis=1, keepdims=True)
         k = np.full(tokens.shape[0], self.top_k, dtype=np.int64)
-        return TopKDecision(mask=mask, k=k, scores=scores, weights=weights), weights
+        return Decision(mask=mask, k=k, weights=weights, scores=scores)
 
-    def unactivated_pairs(self, decision: TopKDecision) -> None:
+    def unactivated_pairs(self, decision: Decision) -> None:
         """None: the selection is held fixed in the backward, so no pair
         outside it is ever computed."""
         return None
 
-    def backward(self, decision, weights, dots, tokens) -> np.ndarray:
+    def backward(self, decision: Decision, dots: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Backward through the renormalized softmax; ``dots`` is the gradient
         of the combine weights. The selection set is piecewise constant and
         held fixed; gradients flow through the renormalization and the
         softmax into ``w_g`` and the tokens."""
+        weights = decision.weights
         if dots.shape != weights.shape:
             raise DimensionError(
                 f"dots shape {dots.shape} does not match weights shape {weights.shape}"

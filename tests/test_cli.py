@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dynmoe import cli
 from dynmoe.cli import FLAG_KEYS, build_parser, main
 from dynmoe.config import ConfigError, load_config, parse_config_doc
 
@@ -393,6 +394,32 @@ class TestCli:
             for key in keys & set(section.get(where, {})):
                 assert f"unknown key(s): ['{where}.{key}']" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["train", "baseline", "sweep", "eval"])
+    def test_out_that_is_not_a_directory_exits_before_the_run(self, tmp_path, capsys,
+                                                             monkeypatch, command, under):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
+        ckpt = tmp_path / "r" / "checkpoint.final"
+        if command == "eval":
+            assert main(["train", str(cfg), "--out", str(ckpt.parent)]) == 0
+
+        def no_task(**_):  # every command generates its task before training or scoring
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "gen_task", no_task)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        argv = {"train": ["train", str(cfg)],
+                "baseline": ["baseline", str(cfg), "--K", "3", "--k", "2"],
+                "sweep": ["sweep", str(cfg)],
+                "eval": ["eval", str(ckpt), str(cfg)]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(taken / "run" if under else taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and f"{taken} is not a directory" in err
+        assert taken.read_text() == "kept"
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", adapt=None)

@@ -20,9 +20,10 @@ def test_checkout_against_itself_is_identical(monkeypatch):
         return diff_dirs(a, b)
 
     monkeypatch.setattr(cmp_runs, "diff_dirs", spy)
-    assert cmp_runs.compare(ROOT, ROOT, runs) == []
+    assert cmp_runs.compare(ROOT, ROOT, runs, demos=["01_top_any_gating.py"]) == []
     assert {"checkpoint.final", "eval/metrics.csv", "eval/artifacts.json",
-            "report/k_trajectory.csv", "report/eval_accuracy.csv"} <= set(compared)
+            "report/k_trajectory.csv", "report/eval_accuracy.csv",
+            "01_top_any_gating.stdout"} <= set(compared)
 
 
 def test_diff_dirs_names_changed_and_one_sided_files(tmp_path):

@@ -31,7 +31,7 @@ from dynmoe.harness import (
 )
 from dynmoe import moe_layer
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_backward, moe_forward
-from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad
+from dynmoe.numerics import ConfigurationError, Param, finite_diff_grad, sigmoid
 from dynmoe.router import RouterParams, TopKRouter, route_top_any
 
 from conftest import rel_err
@@ -666,6 +666,8 @@ class TestModelBackward:
             for _, decision in caches:
                 scores = np.sort(decision.scores, axis=1)
                 assume(np.min(scores[:, -2] - scores[:, -3]) > 1e-4)
+        else:  # sigmoid(g) at the forward point, before the differences move g
+            sig_g0 = [sigmoid(layer.router.g.value) for layer in model.layers]
         d_tokens = model.backward(caches, h_final, coeff)
 
         def objective(x):
@@ -673,8 +675,8 @@ class TestModelBackward:
                 logits = model.forward(x, mode="train")[0]
             else:
                 h = x
-                for layer, (_, decision) in zip(model.layers, caches):
-                    h = h + surrogate_output(layer, h, decision)
+                for layer, (_, decision), sig_g in zip(model.layers, caches, sig_g0):
+                    h = h + surrogate_output(layer, h, decision, sig_g)
                 logits = h @ model.w_out.value + model.b_out.value
             return float((coeff * logits).sum())
 

@@ -285,13 +285,15 @@ class TestMoeBackward:
             moe_backward(layer, dec, tokens, np.zeros((3, layer.d)))
 
 
-def surrogate_output(layer, tokens, dec0):
+def surrogate_output(layer, tokens, dec0, sig_g0):
     """The layer output y with the binary mask replaced by its straight-through
     surrogate mask0 + (sig_s - sig_g) - (sig_s0 - sig_g0): equal to the mask
     at the forward point, with the derivative the backward assigns to it.
-    Rows that activated nothing at the forward point stay at y = 0."""
+    ``sig_g0`` is sigmoid(g) at the forward point, taken before finite
+    differences move g. Rows that activated nothing at the forward point stay
+    at y = 0."""
     sig_s = sigmoid(cosine_scores_batch(tokens, layer.router.w_g.value))
-    m = dec0.mask + (sig_s - sigmoid(layer.router.g.value)) - (dec0.sig_s - dec0.sig_g)
+    m = dec0.mask + (sig_s - sigmoid(layer.router.g.value)) - (dec0.scores - sig_g0)
     outs = np.stack([layer.experts.forward(e, tokens)[0] for e in range(layer.n_experts)],
                     axis=1)  # (N, K, d)
     served = dec0.k > 0
@@ -300,9 +302,9 @@ def surrogate_output(layer, tokens, dec0):
     return y
 
 
-def surrogate_objective(layer, tokens, coeff, dec0):
+def surrogate_objective(layer, tokens, coeff, dec0, sig_g0):
     """sum(coeff * y) for the :func:`surrogate_output` y."""
-    return float((coeff * surrogate_output(layer, tokens, dec0)).sum())
+    return float((coeff * surrogate_output(layer, tokens, dec0, sig_g0)).sum())
 
 
 def edge_batch_layer(rng, state):
@@ -336,6 +338,7 @@ class TestLayerBackwardEdgeStates:
         layer, tokens = edge_batch_layer(rng, state)
         coeff = rng.standard_normal(tokens.shape)
         _, dec = moe_forward(layer, tokens)
+        sig_g0 = sigmoid(layer.router.g.value)
         assert np.any(dec.k == 0) and np.any(dec.k == 1) and np.any(dec.k == 2)
         assert np.any(dec.mask.sum(axis=0) == 0)
         prior = [rng.standard_normal(p.grad.shape) if accumulate else np.zeros(p.grad.shape)
@@ -345,7 +348,7 @@ class TestLayerBackwardEdgeStates:
         d_tokens = moe_backward(layer, dec, tokens, coeff)
 
         def objective(_):
-            return surrogate_objective(layer, tokens, coeff, dec)
+            return surrogate_objective(layer, tokens, coeff, dec, sig_g0)
 
         for i, (p, g) in enumerate(zip(layer.params(), prior)):
             fd = finite_diff_grad(objective, p, eps=1e-6)
@@ -353,7 +356,7 @@ class TestLayerBackwardEdgeStates:
 
         x = Param(tokens.copy())
         fd_x = finite_diff_grad(
-            lambda q: surrogate_objective(layer, q.value, coeff, dec), x, eps=1e-6
+            lambda q: surrogate_objective(layer, q.value, coeff, dec, sig_g0), x, eps=1e-6
         )
         assert rel_err(d_tokens, fd_x) < 1e-5
 
@@ -363,7 +366,7 @@ class TestBackwardNeedsCache:
         layer = build_layer(rng)
         tokens = rng.standard_normal((6, layer.d))
         _, dec = moe_forward(layer, tokens, mode="eval")
-        assert dec.expert_cache is None
+        assert dec.pairs is None
         with pytest.raises(ValueError, match="no expert cache"):
             moe_backward(layer, dec, tokens, np.ones_like(tokens))
 

@@ -48,7 +48,7 @@ class TestRouteTopAny:
         # the strict comparison keeps expert 2 inactive
         np.testing.assert_array_equal(dec.mask, [[1.0, 0.0]])
         assert dec.k.tolist() == [1]
-        assert abs(dec.sig_s[0, 0] - sigmoid(np.array([1.0]))[0]) < 1e-15
+        assert abs(dec.scores[0, 0] - sigmoid(np.array([1.0]))[0]) < 1e-15
 
     def test_all_negative_cosine_activates_nothing(self):
         params = RouterParams(w_g=Param(np.eye(2)), g=Param(np.zeros(2)))
@@ -71,6 +71,12 @@ class TestRouteTopAny:
         params = random_router(rng, 6, 4)
         dec = route_top_any(rng.standard_normal((40, 6)), params)
         np.testing.assert_array_equal(dec.k, dec.mask.sum(axis=1).astype(np.int64))
+        # the mean-combine weights mask / k, zero rows where k = 0
+        assert np.any(dec.k == 0) and np.any(dec.k > 1)
+        served = dec.k > 0
+        np.testing.assert_array_equal(dec.weights[served],
+                                      dec.mask[served] / dec.k[served, None])
+        np.testing.assert_array_equal(dec.weights[~served], 0.0)
 
     def test_positive_scale_invariance(self, rng):
         params = random_router(rng, 5, 4)
@@ -218,10 +224,12 @@ class TestRouteEval:
         top_any = route_top_any(tokens, params)
         assert top_any.k.tolist() == [0]
         dec = route_eval(tokens, params)
-        best = int(np.argmax(dec.sig_s[0]))
+        best = int(np.argmax(dec.scores[0]))
         want = np.zeros(3)
         want[best] = 1.0
         np.testing.assert_array_equal(dec.mask[0], want)
+        # the fallback row's combine weights are its one-hot mask
+        np.testing.assert_array_equal(dec.weights[0], want)
         assert dec.k.tolist() == [1]
 
     def test_rows_with_activations_untouched(self, rng):
@@ -239,7 +247,7 @@ class TestRouteEval:
         params = RouterParams(w_g=Param(w), g=Param(np.full(2, 5.0)))
         dec = route_eval(np.array([[0.3, 0.1]]), params)
         # scan oracle: first maximum wins
-        row = dec.sig_s[0]
+        row = dec.scores[0]
         best, best_val = 0, row[0]
         for e in range(1, 2):
             if row[e] > best_val:
@@ -256,21 +264,21 @@ class TestTopKBaseline:
     def test_k_equals_K_selects_everything(self, rng):
         w_g = Param(rng.standard_normal((4, 2)))
         tokens = rng.standard_normal((5, 4))
-        dec, _ = TopKRouter(w_g, top_k=2).route(tokens, "train")
+        dec = TopKRouter(w_g, top_k=2).route(tokens, "train")
         np.testing.assert_array_equal(dec.mask, 1.0)
         # weights are the softmax itself, which already sums to one
         assert rel_err(dec.weights, dec.scores) < 1e-12
 
     def test_dominant_logit_top1(self):
         w_g = Param(np.eye(3))
-        dec, _ = TopKRouter(w_g, top_k=1).route(np.array([[10.0, 0.0, 0.0]]), "train")
+        dec = TopKRouter(w_g, top_k=1).route(np.array([[10.0, 0.0, 0.0]]), "train")
         np.testing.assert_array_equal(dec.mask, [[1.0, 0.0, 0.0]])
         assert abs(dec.weights[0, 0] - 1.0) < 1e-15
 
     def test_matches_sort_oracle(self, rng):
         w_g = Param(rng.standard_normal((6, 4)))
         tokens = rng.standard_normal((5, 6))
-        dec, _ = TopKRouter(w_g, top_k=2).route(tokens, "train")
+        dec = TopKRouter(w_g, top_k=2).route(tokens, "train")
         logits = tokens @ w_g.value
         for i in range(5):
             exps = [math.exp(z - max(logits[i])) for z in logits[i]]
@@ -297,11 +305,11 @@ class TestTopKBaseline:
         coeff = rng.standard_normal((n, n_experts))
 
         router = TopKRouter(w_g, top_k=k)
-        dec, weights = router.route(tokens, "train")
-        router.backward(dec, weights, coeff, tokens)
+        dec = router.route(tokens, "train")
+        router.backward(dec, coeff, tokens)
 
         def objective(p):
-            d2, _ = TopKRouter(p, top_k=k).route(tokens, "train")
+            d2 = TopKRouter(p, top_k=k).route(tokens, "train")
             # selection must not flip under the probe for FD to be valid
             assert np.array_equal(d2.mask, dec.mask)
             return float((coeff * d2.weights).sum())

@@ -5,20 +5,18 @@ import pytest
 
 from dynmoe.harness import MoeClassifier, TrainConfig, evaluate, log_eval
 from dynmoe.numerics import DegenerateInputError, Param
-from dynmoe.router import GatingDecision, RouterParams, route_eval
+from dynmoe.router import Decision, RouterParams, route_eval
 from dynmoe.telemetry import MetricsLog, PassStats, expert_similarity_matrix
 
 
-def decision_from_mask(mask, sig_s=None):
+def decision_from_mask(mask):
     mask = np.asarray(mask, dtype=np.float64)
-    if sig_s is None:
-        sig_s = np.full_like(mask, 0.5)
-    return GatingDecision(
+    k = mask.sum(axis=1, keepdims=True)
+    return Decision(
         mask=mask,
-        k=mask.sum(axis=1).astype(np.int64),
-        s=np.zeros_like(mask),
-        sig_s=sig_s,
-        sig_g=np.zeros(mask.shape[1]),
+        k=k[:, 0].astype(np.int64),
+        weights=np.divide(mask, k, out=np.zeros_like(mask), where=k > 0),
+        scores=np.full_like(mask, 0.5),
     )
 
 

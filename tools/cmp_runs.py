@@ -8,15 +8,17 @@ runs every command of ``RUNS`` once with ``PYTHONPATH=<tree>/src`` for each
 tree (``--tree`` defaults to the checkout holding this script), with BLAS on
 one thread, in a temporary directory. After each ``train`` or ``baseline``
 run, each tree runs ``dynmoe eval`` on its own ``checkpoint.final`` into
-``eval/``. Last, after every run, each tree runs ``dynmoe report`` on its
-output directory into ``report/``. It compares every file the runs write:
+``eval/``. After every run, each tree runs ``dynmoe report`` on its
+output directory into ``report/``. Last, each tree runs its own copy of
+every demo of ``DEMOS`` and keeps its standard output as
+``demos/<demo>.stdout``. It compares every file the runs write:
 ``checkpoint.final``, ``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``,
 ``config.snapshot``, the sweep's ``comparison.csv``, the eval's
-``metrics.csv`` and ``artifacts.json``, and the report's tables.
-It prints the files that differ or exist on one side only, those named by
-an ``--expect FILE`` (repeatable; matched against the end of each path, as
-``PurePath.match`` does, so ``config.snapshot`` names every run's snapshot)
-apart from the rest. It exits 1 if any file differs that no ``--expect``
+``metrics.csv`` and ``artifacts.json``, the report's tables, and the demo
+outputs. It prints the files that differ or exist on one side only, those
+named by an ``--expect FILE`` (repeatable; matched against the end of each
+path, as ``PurePath.match`` does, so ``config.snapshot`` names every run's
+snapshot) apart from the rest. It exits 1 if any file differs that no ``--expect``
 names, 0 otherwise. Nothing is written into either tree.
 """
 
@@ -54,25 +56,33 @@ RUNS = (
                       "adapt": {"max_experts": 16, "check_interval": 100}}, ["train"]),
 )
 
+# the scripts under demos/; each tree runs its own copy
+DEMOS = ("01_top_any_gating.py", "02_aux_loss_and_gradients.py", "03_adaptive_experts.py",
+         "04_skill_discovery.py")
+
 # one BLAS thread on both sides; no __pycache__ written into the trees
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
        "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def _both(name: str, trees: list[Path], sides: list[Path], argv) -> None:
-    """Run ``dynmoe.cli`` with the arguments ``argv(out)`` for each tree and
-    its output directory, both at once. Raises ``RuntimeError`` if either
-    fails."""
+def _both(name: str, trees: list[Path], sides: list[Path], argv) -> list[bytes]:
+    """Run ``python`` with the arguments ``argv(tree, out)`` for each tree
+    and its output path, both at once, with the tree's ``src`` on
+    ``PYTHONPATH``. Returns their standard outputs. Raises ``RuntimeError``
+    if either fails."""
     procs = []
     for tree, out in zip(trees, sides):
         env = {**os.environ, **ENV, "PYTHONPATH": str(tree.resolve() / "src")}
-        procs.append(subprocess.Popen([sys.executable, "-m", "dynmoe.cli", *argv(out)],
-                                      cwd=out.parent, env=env, stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.PIPE, text=True))
+        procs.append(subprocess.Popen([sys.executable, *argv(tree, out)], cwd=out.parent,
+                                      env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = []
     for tree, proc in zip(trees, procs):
-        err = proc.communicate()[1]
+        stdout, err = proc.communicate()
         if proc.returncode:
-            raise RuntimeError(f"{name} failed on {tree} (exit {proc.returncode}):\n{err}")
+            raise RuntimeError(f"{name} failed on {tree} (exit {proc.returncode}):\n"
+                               f"{err.decode()}")
+        outputs.append(stdout)
+    return outputs
 
 
 def diff_dirs(a: Path, b: Path) -> list[str]:
@@ -84,11 +94,13 @@ def diff_dirs(a: Path, b: Path) -> list[str]:
         if not filecmp.cmp(a / rel, b / rel, shallow=False))
 
 
-def compare(tree_a: Path, tree_b: Path, runs=RUNS) -> list[str]:
-    """Run ``runs`` on both trees (the two sides of a run at once) and
-    return the differing output files as ``<run>/<file>``. Raises
-    ``RuntimeError`` if a command fails on either side."""
+def compare(tree_a: Path, tree_b: Path, runs=RUNS, demos=DEMOS) -> list[str]:
+    """Run ``runs`` and ``demos`` on both trees (the two sides of each at
+    once) and return the differing output files as ``<run>/<file>`` and
+    ``demos/<demo>.stdout``. Raises ``RuntimeError`` if a command fails on
+    either side."""
     differing = []
+    trees = [Path(tree_a), Path(tree_b)]
     with tempfile.TemporaryDirectory(prefix="cmp_runs_") as tmp:
         for name, doc, args in runs:
             run_dir = Path(tmp) / name
@@ -96,16 +108,26 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS) -> list[str]:
             config = run_dir / "config.json"
             config.write_text(json.dumps(doc))
             sides = [run_dir / side / "out" for side in ("a", "b")]
-            trees = [Path(tree_a), Path(tree_b)]
             for out in sides:
                 out.parent.mkdir()
-            _both(name, trees, sides,
-                  lambda out: [args[0], str(config), *args[1:], "--out", str(out)])
+            _both(name, trees, sides, lambda tree, out: [
+                "-m", "dynmoe.cli", args[0], str(config), *args[1:], "--out", str(out)])
             if args[0] in ("train", "baseline"):
-                _both(f"{name} eval", trees, sides, lambda out: [
-                    "eval", str(out / "checkpoint.final"), str(config), "--out", str(out / "eval")])
-            _both(f"{name} report", trees, sides, lambda out: ["report", str(out)])
+                _both(f"{name} eval", trees, sides, lambda tree, out: [
+                    "-m", "dynmoe.cli", "eval", str(out / "checkpoint.final"), str(config),
+                    "--out", str(out / "eval")])
+            _both(f"{name} report", trees, sides,
+                  lambda tree, out: ["-m", "dynmoe.cli", "report", str(out)])
             differing += [f"{name}/{rel}" for rel in diff_dirs(*sides)]
+        sides = [Path(tmp) / "demos" / side for side in ("a", "b")]
+        for out in sides:
+            out.mkdir(parents=True)
+        for demo in demos:
+            outputs = _both(demo, trees, sides,
+                            lambda tree, out: [str(tree.resolve() / "demos" / demo)])
+            for out, stdout in zip(sides, outputs):
+                (out / demo).with_suffix(".stdout").write_bytes(stdout)
+        differing += [f"demos/{rel}" for rel in diff_dirs(*sides)]
     return differing
 
 
@@ -128,7 +150,8 @@ def main(argv=None) -> int:
     for label, group in (("expected", expected), ("unexpected", unexpected)):
         for rel in group:
             print(f"differs ({label}): {rel}")
-    print(f"{len(RUNS)} runs, {len(differing)} differing file(s), {len(unexpected)} unexpected")
+    print(f"{len(RUNS)} runs, {len(DEMOS)} demos, {len(differing)} differing file(s), "
+          f"{len(unexpected)} unexpected")
     return 1 if unexpected else 0
 
 

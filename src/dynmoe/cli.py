@@ -9,11 +9,10 @@ aggregates any number of such directories into figure-ready CSV/JSON files.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import sys
 from dataclasses import asdict
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .harness import (
     split_task,
     train_loop,
 )
-from .telemetry import MetricsLog
+from .telemetry import MetricsLog, write_schema_csv
 
 ADAPT_JSONL_SCHEMA = "dynmoe-adapt/1"
 ARTIFACTS_SCHEMA = "dynmoe-artifacts/1"
@@ -49,6 +48,16 @@ FLAG_KEYS = {
     "k": ("router", "top_k"),
 }
 
+# metric of metrics.csv -> (its report table, the table's value columns);
+# a metric with an ``expert`` column gets one line per expert
+REPORT_TABLES = {
+    "avg_top_k": ("avg_top_k_per_layer.csv", ["avg_top_k"]),
+    "activation_frequency": ("activation_frequency_per_layer.csv", ["expert", "frequency"]),
+    "gate_thresholds": ("gate_thresholds.csv", ["expert", "threshold"]),
+    "eval_accuracy": ("eval_accuracy.csv", ["accuracy"]),
+    "n_experts": ("n_experts.csv", ["n_experts"]),
+}
+
 
 def write_run_dir(outdir: Path, spec_doc: dict, result: RunResult) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
@@ -58,19 +67,15 @@ def write_run_dir(outdir: Path, spec_doc: dict, result: RunResult) -> None:
             fh.write(json.dumps({"schema": ADAPT_JSONL_SCHEMA, **event}, sort_keys=True) + "\n")
     (outdir / "config.snapshot").write_text(json.dumps(spec_doc, sort_keys=True, indent=2))
     save_model(result.model, outdir / "checkpoint.final")
-    artifacts = {
-        "schema": ARTIFACTS_SCHEMA,
-        "final_accuracy": result.final_accuracy,
-        "mean_k": result.mean_k,
-        "activated_params": result.activated_params,
-        "k_trajectory": [[step, list(counts)] for step, counts in result.k_trajectory],
-        "similarity": result.similarity,
-    }
-    (outdir / "artifacts.json").write_text(json.dumps(artifacts, sort_keys=True, indent=2))
+    write_artifacts(outdir, final_accuracy=result.final_accuracy, mean_k=result.mean_k,
+                    activated_params=result.activated_params,
+                    k_trajectory=result.k_trajectory, similarity=result.similarity)
 
 
-def checkpoint_hash(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def write_artifacts(outdir: Path, **fields) -> None:
+    """``artifacts.json``: the run's summary ``fields`` under its schema."""
+    (outdir / "artifacts.json").write_text(
+        json.dumps({"schema": ARTIFACTS_SCHEMA, **fields}, sort_keys=True, indent=2))
 
 
 def load_spec(args) -> RunSpec:
@@ -91,13 +96,15 @@ def load_spec(args) -> RunSpec:
     return parse_config_doc(doc, origin=str(args.config))
 
 
-def out_dir(out: str | None, default: str) -> Path:
-    """The ``--out`` directory, ``default`` if not given, checked before any
-    work: the path and each of its parents that exists must be a directory."""
-    path = Path(out or default)
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+def checked_dir(label: str, path, *inside: str) -> Path:
+    """``path``, checked before any work with the directories ``inside`` it
+    that the command will make: each, and each of its parents that exists,
+    must be a directory."""
+    path = Path(path)
+    for made in (path, *(path / name for name in inside)):
+        existing = next(p for p in (made, *made.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"{label} {path}: {existing} is not a directory")
     return path
 
 
@@ -112,17 +119,17 @@ def _train(spec: RunSpec, outdir: Path) -> RunResult:
 
 
 def cmd_train(args) -> int:
-    outdir = out_dir(args.out, "runs/train")
+    outdir = checked_dir("--out", args.out or "runs/train")
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} mean_k={result.mean_k:.3f} "
           f"n_experts={sum(result.k_trajectory[-1][1])}")
-    print(f"checkpoint_sha256={checkpoint_hash(outdir / 'checkpoint.final')}")
+    print(f"checkpoint_sha256={sha256((outdir / 'checkpoint.final').read_bytes()).hexdigest()}")
     print(f"run_dir={outdir}")
     return 0
 
 
 def cmd_baseline(args) -> int:
-    outdir = out_dir(args.out, f"runs/baseline_K{args.K}_k{args.k}")
+    outdir = checked_dir("--out", args.out or f"runs/baseline_K{args.K}_k{args.k}")
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} K={args.K} k={args.k}")
     print(f"run_dir={outdir}")
@@ -132,7 +139,7 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     """Score a checkpoint on the held-out rows of the config's task: the rows
     the training run evaluated on, never the ones it trained on."""
-    outdir = out_dir(args.out, "runs/eval")
+    outdir = checked_dir("--out", args.out or "runs/eval")
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
@@ -150,25 +157,11 @@ def cmd_eval(args) -> int:
     log_eval(metrics, 0, model, accuracy, stats)  # same rows the training loop emits
     outdir.mkdir(parents=True, exist_ok=True)
     metrics.to_csv(outdir / "metrics.csv")
-    artifacts = {
-        "schema": ARTIFACTS_SCHEMA,
-        "final_accuracy": accuracy,
-        "mean_k": mean_k,
-        "similarity": similarity_snapshot(model),
-        "k_trajectory": [],
-    }
-    (outdir / "artifacts.json").write_text(json.dumps(artifacts, sort_keys=True, indent=2))
+    write_artifacts(outdir, final_accuracy=accuracy, mean_k=mean_k,
+                    similarity=similarity_snapshot(model), k_trajectory=[])
     print(f"accuracy={accuracy:.4f} mean_k={mean_k:.3f}")
     print(f"metrics={outdir / 'metrics.csv'}")
     return 0
-
-
-def _write_report_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(f"# schema={REPORT_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_report(args) -> int:
@@ -181,11 +174,9 @@ def cmd_report(args) -> int:
     if not run_dirs:
         print("error: no metrics found", file=sys.stderr)
         return 2
+    outdir = checked_dir("report directory", logdir / "report")
 
-    by_metric: dict[str, list[list]] = {
-        "avg_top_k": [], "activation_frequency": [], "gate_thresholds": [],
-        "eval_accuracy": [], "n_experts": [],
-    }
+    logs = []  # (run name, its metrics log)
     k_trajectories = {}
     similarity = {}
     for run in run_dirs:
@@ -207,38 +198,26 @@ def cmd_report(args) -> int:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        for row in metrics.rows:
-            if row.metric in ("avg_top_k", "eval_accuracy", "n_experts"):
-                by_metric[row.metric].append([name, row.step, row.layer, repr(row.values[0])])
-            elif row.metric in ("activation_frequency", "gate_thresholds"):
-                for idx, value in enumerate(row.values):
-                    by_metric[row.metric].append([name, row.step, row.layer, idx, repr(value)])
+        logs.append((name, metrics))
 
-    outdir = logdir / "report"
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_report_csv(outdir / "avg_top_k_per_layer.csv",
-                      ["run", "step", "layer", "avg_top_k"], by_metric["avg_top_k"])
-    _write_report_csv(outdir / "activation_frequency_per_layer.csv",
-                      ["run", "step", "layer", "expert", "frequency"],
-                      by_metric["activation_frequency"])
-    _write_report_csv(outdir / "gate_thresholds.csv",
-                      ["run", "step", "layer", "expert", "threshold"],
-                      by_metric["gate_thresholds"])
-    _write_report_csv(outdir / "eval_accuracy.csv",
-                      ["run", "step", "layer", "accuracy"], by_metric["eval_accuracy"])
-    _write_report_csv(outdir / "n_experts.csv",
-                      ["run", "step", "layer", "n_experts"], by_metric["n_experts"])
-    _write_report_csv(outdir / "k_trajectory.csv", ["run", "step", "layer", "n_experts"],
-                      [row for _, rows in sorted(k_trajectories.items()) for row in rows])
+    for metric, (filename, columns) in REPORT_TABLES.items():
+        expert = "expert" in columns
+        write_schema_csv(outdir / filename, REPORT_SCHEMA, ["run", "step", "layer", *columns],
+                         ([name, row.step, row.layer, *([idx] if expert else []), repr(value)]
+                          for name, metrics in logs for row in metrics.rows
+                          if row.metric == metric for idx, value in enumerate(row.values)))
+    write_schema_csv(outdir / "k_trajectory.csv", REPORT_SCHEMA,
+                     ["run", "step", "layer", "n_experts"],
+                     [row for _, rows in sorted(k_trajectories.items()) for row in rows])
     (outdir / "similarity.json").write_text(
-        json.dumps({"schema": REPORT_SCHEMA, "runs": similarity}, sort_keys=True, indent=2)
-    )
+        json.dumps({"schema": REPORT_SCHEMA, "runs": similarity}, sort_keys=True, indent=2))
     print(f"report written to {outdir} ({len(run_dirs)} run(s))")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    outdir = out_dir(args.out, "runs/sweep")
+    outdir = checked_dir("--out", args.out or "runs/sweep", "dynmoe")
     spec = load_spec(args)
     task = gen_task(**asdict(spec.task))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -254,9 +233,9 @@ def cmd_sweep(args) -> int:
                  repr(dyn.final_accuracy), repr(dyn.activated_params)])
     write_run_dir(outdir / "dynmoe", spec.snapshot(), dyn)
 
-    _write_report_csv(outdir / "comparison.csv",
-                      ["router", "n_experts", "top_k", "mean_k", "final_accuracy",
-                       "activated_params"], rows)
+    write_schema_csv(outdir / "comparison.csv", REPORT_SCHEMA,
+                     ["router", "n_experts", "top_k", "mean_k", "final_accuracy",
+                      "activated_params"], rows)
     print(f"sweep rows={len(rows)} written to {outdir / 'comparison.csv'}")
     return 0
 

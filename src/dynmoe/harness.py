@@ -25,7 +25,7 @@ import numpy as np
 from .adaptive import AdaptConfig, RoutingRecord, adapt, record
 from .losses import AuxLossReport, diversity_simplicity_loss
 from .moe_layer import EXPERT_TENSORS, ExpertMlp, MoeLayer, moe_backward, moe_forward
-from .numerics import ConfigurationError, DivergenceError, Param
+from .numerics import ConfigurationError, DivergenceError, Param, name_params
 from .router import RouterParams, TopKRouter
 from .telemetry import MetricsLog, PassStats, expert_similarity_matrix
 
@@ -314,13 +314,16 @@ class Adam:
 
 # --- model -------------------------------------------------------------------
 
+@dataclass(eq=False)
 class MoeClassifier:
     """Token -> residual MoE layer(s) -> linear softmax head."""
 
-    def __init__(self, layers: list[MoeLayer], w_out: Param, b_out: Param):
-        self.layers = layers
-        self.w_out = w_out
-        self.b_out = b_out
+    layers: list[MoeLayer]
+    w_out: Param
+    b_out: Param
+
+    def __post_init__(self) -> None:
+        name_params(self)
 
     @classmethod
     def random(cls, cfg: "TrainConfig", new_router, rng) -> "MoeClassifier":
@@ -328,8 +331,8 @@ class MoeClassifier:
         random experts, then the head, all drawn from ``rng`` in that order."""
         layers = [MoeLayer.around(new_router(rng), cfg.hidden, rng) for _ in range(cfg.n_layers)]
         d = layers[0].d
-        head = Param(rng.standard_normal((d, N_CLASSES)) / math.sqrt(d), name="w_out")
-        return cls(layers, head, Param(np.zeros(N_CLASSES), name="b_out"))
+        head = Param(rng.standard_normal((d, N_CLASSES)) / math.sqrt(d))
+        return cls(layers, head, Param(np.zeros(N_CLASSES)))
 
     def forward(self, tokens, mode="train"):
         h = np.asarray(tokens, dtype=np.float64)
@@ -636,12 +639,11 @@ def _layer_from_doc(doc: dict) -> MoeLayer:
     keys = {"w_g", *routers, *EXPERT_TENSORS}
     if doc.keys() != keys:
         raise ValueError(f"layer keys {sorted(doc)}, expected {sorted(keys)}")
-    w_g = Param(doc["w_g"], name="w_g")
     if "g" in doc:
-        router = RouterParams(w_g=w_g, g=Param(doc["g"], name="g"))
+        router = RouterParams(w_g=Param(doc["w_g"]), g=Param(doc["g"]))
     else:
-        router = TopKRouter(w_g=w_g, top_k=doc["top_k"])
-    experts = ExpertMlp.from_arrays(*(doc[name] for name in EXPERT_TENSORS))
+        router = TopKRouter(w_g=Param(doc["w_g"]), top_k=doc["top_k"])
+    experts = ExpertMlp(*(Param(doc[name]) for name in EXPERT_TENSORS))
     return MoeLayer(router=router, experts=experts)
 
 
@@ -653,7 +655,7 @@ def model_from_doc(doc: dict) -> MoeClassifier:
         raise ValueError(f"model keys {sorted(doc)}, expected {sorted(keys)}")
     if not doc["layers"]:
         raise ValueError("a model needs at least one layer")
-    w_out, b_out = Param(doc["w_out"], name="w_out"), Param(doc["b_out"], name="b_out")
+    w_out, b_out = Param(doc["w_out"]), Param(doc["b_out"])
     if w_out.value.ndim != 2 or b_out.shape != w_out.shape[1:]:
         raise ValueError(f"w_out of shape {w_out.shape} does not fit b_out of shape {b_out.shape}")
     layers = [_layer_from_doc(layer_doc) for layer_doc in doc["layers"]]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .numerics import DimensionError, Param
+from .numerics import DimensionError, Param, name_params
 from .router import Decision, RouterParams, TopKRouter
 
 # bench/tracing.py wraps the top-any routing functions under these names; they
@@ -88,10 +88,10 @@ class ExpertMlp:
     w2: Param  # (K, h, d)
     b2: Param  # (K, d)
 
-    @classmethod
-    def from_arrays(cls, w1, b1, w2, b2) -> "ExpertMlp":
-        values = dict(zip(EXPERT_TENSORS, (w1, b1, w2, b2)))
-        return cls(**{name: Param(v, name=name, slot_steps=True) for name, v in values.items()})
+    def __post_init__(self) -> None:
+        name_params(self)
+        for p in self.params():
+            p.slot_steps = True
 
     @classmethod
     def random(cls, dim: int, hidden: int, n_experts: int, rng: np.random.Generator) -> "ExpertMlp":
@@ -99,8 +99,8 @@ class ExpertMlp:
         for _ in range(n_experts):  # w1 then w2 per expert: the draw order seeded runs rely on
             w1.append(rng.standard_normal((dim, hidden)) / math.sqrt(dim))
             w2.append(rng.standard_normal((hidden, dim)) / math.sqrt(hidden))
-        return cls.from_arrays(np.array(w1), np.zeros((n_experts, hidden)),
-                               np.array(w2), np.zeros((n_experts, dim)))
+        return cls(*map(Param, (np.array(w1), np.zeros((n_experts, hidden)),
+                                np.array(w2), np.zeros((n_experts, dim)))))
 
     @property
     def n_experts(self) -> int:

@@ -12,7 +12,7 @@ computation acceptable whenever it simplifies the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -67,7 +67,8 @@ class Param:
 
     ``slot_steps`` marks axis 0 as a stack of independent slots (one expert
     each): optimizers then keep one step count per slot, so a slot appended
-    later starts its own bias correction.
+    later starts its own bias correction. The class holding a Param names it
+    (:func:`name_params`); checkpoints key tensors by ``name``.
     """
 
     value: np.ndarray
@@ -101,6 +102,13 @@ class Param:
         The gradient restarts at zero."""
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+
+
+def name_params(owner) -> None:
+    """Name each ``Param`` field of the dataclass ``owner`` after its field."""
+    for f in fields(owner):
+        if isinstance(param := getattr(owner, f.name), Param):
+            param.name = f.name
 
 
 def cosine_scores_batch(tokens: np.ndarray, w: np.ndarray) -> np.ndarray:

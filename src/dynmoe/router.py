@@ -37,6 +37,7 @@ from .numerics import (
     DimensionError,
     Param,
     cosine_scores_batch,
+    name_params,
     sigmoid,
     vector_norm,
 )
@@ -77,6 +78,7 @@ class RouterParams:
     g: Param
 
     def __post_init__(self) -> None:
+        name_params(self)
         self.validate()
 
     def validate(self) -> None:
@@ -111,7 +113,7 @@ class RouterParams:
         """
         cols = rng.standard_normal((dim, n_experts))
         cols /= np.linalg.norm(cols, axis=0, keepdims=True)
-        return cls(w_g=Param(cols, name="w_g"), g=Param(np.zeros(n_experts), name="g"))
+        return cls(w_g=Param(cols), g=Param(np.zeros(n_experts)))
 
     def params(self) -> list[Param]:
         return [self.w_g, self.g]
@@ -223,6 +225,7 @@ class TopKRouter:
     top_k: int
 
     def __post_init__(self) -> None:
+        name_params(self)
         self.validate()
 
     def validate(self) -> None:
@@ -241,8 +244,7 @@ class TopKRouter:
 
     @classmethod
     def random(cls, dim: int, n_experts: int, top_k: int, rng: np.random.Generator) -> "TopKRouter":
-        w_g = Param(rng.standard_normal((dim, n_experts)) / math.sqrt(dim), name="w_g")
-        return cls(w_g=w_g, top_k=top_k)
+        return cls(w_g=Param(rng.standard_normal((dim, n_experts)) / math.sqrt(dim)), top_k=top_k)
 
     def params(self) -> list[Param]:
         return [self.w_g]

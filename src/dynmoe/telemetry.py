@@ -93,6 +93,16 @@ def expert_similarity_matrix(router: RouterParams) -> np.ndarray:
     return sim
 
 
+def write_schema_csv(path, schema: str, header: list[str], rows: Iterable[list]) -> None:
+    """The one form of every CSV a run or a report writes: a ``# schema=``
+    line, the header, then the rows."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class MetricsRow:
     step: int
@@ -121,14 +131,9 @@ class MetricsLog:
                                     values=tuple(float(v) for v in arr)))
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write(f"# schema={METRICS_SCHEMA}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "layer", "metric", "index", "value"])
-            for row in self.rows:
-                for idx, value in enumerate(row.values):
-                    writer.writerow([row.step, row.layer, row.metric, idx, repr(value)])
+        write_schema_csv(path, METRICS_SCHEMA, ["step", "layer", "metric", "index", "value"],
+                         ([row.step, row.layer, row.metric, idx, repr(value)]
+                          for row in self.rows for idx, value in enumerate(row.values)))
 
     @classmethod
     def read_csv(cls, path) -> "MetricsLog":

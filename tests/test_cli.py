@@ -395,30 +395,44 @@ class TestCli:
                 assert f"unknown key(s): ['{where}.{key}']" in err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-    @pytest.mark.parametrize("command", ["train", "baseline", "sweep", "eval"])
+    # where the file stands: at --out, above it, in place of the sweep's
+    # dynmoe/ run, or in place of the report directory
+    @pytest.mark.parametrize("command, where", [
+        *((command, where) for command in ("train", "baseline", "sweep", "eval")
+          for where in ("file", "under_file")),
+        ("sweep", "run_dir_file"),
+        ("report", "report_file"),
+    ], ids=lambda value: value)
     def test_out_that_is_not_a_directory_exits_before_the_run(self, tmp_path, capsys,
-                                                             monkeypatch, command, under):
+                                                             monkeypatch, command, where):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"train": {"steps": 4, "eval_every": 4}}))
         ckpt = tmp_path / "r" / "checkpoint.final"
-        if command == "eval":
+        if command in ("eval", "report"):
             assert main(["train", str(cfg), "--out", str(ckpt.parent)]) == 0
 
-        def no_task(**_):  # every command generates its task before training or scoring
+        def no_run(*_, **__):  # every command generates its task or reads its runs first
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(cli, "gen_task", no_task)
-        taken = tmp_path / "taken"
+        monkeypatch.setattr(cli, "gen_task", no_run)
+        monkeypatch.setattr(cli.MetricsLog, "read_csv", no_run)
+        taken, out = {"file": ("taken", "taken"), "under_file": ("taken", "taken/run"),
+                      "run_dir_file": ("out/dynmoe", "out"),
+                      "report_file": ("report", ".")}[where]
+        taken, out = tmp_path / taken, tmp_path / out
+        taken.parent.mkdir(exist_ok=True)
         taken.write_text("kept")
-        argv = {"train": ["train", str(cfg)],
-                "baseline": ["baseline", str(cfg), "--K", "3", "--k", "2"],
-                "sweep": ["sweep", str(cfg)],
-                "eval": ["eval", str(ckpt), str(cfg)]}[command]
+        argv = {"train": ["train", str(cfg), "--out"],
+                "baseline": ["baseline", str(cfg), "--K", "3", "--k", "2", "--out"],
+                "sweep": ["sweep", str(cfg), "--out"],
+                "eval": ["eval", str(ckpt), str(cfg), "--out"],
+                "report": ["report"]}[command]
         capsys.readouterr()
-        assert main([*argv, "--out", str(taken / "run" if under else taken)]) == 2
+        assert main([*argv, str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --out ") and f"{taken} is not a directory" in err
+        assert err.startswith("error: report directory " if command == "report"
+                              else "error: --out ")
+        assert f"{taken} is not a directory" in err
         assert taken.read_text() == "kept"
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):

@@ -133,7 +133,7 @@ class TestMoeForward:
                 w_g=Param(layer.router.w_g.value[:, perm].copy()),
                 g=Param(layer.router.g.value[perm].copy()),
             ),
-            experts=ExpertMlp.from_arrays(*(p.value[perm] for p in layer.experts.params())),
+            experts=ExpertMlp(*(Param(p.value[perm]) for p in layer.experts.params())),
         )
         out_perm, _ = moe_forward(permuted, tokens)
         assert rel_err(out_perm, out) < 1e-12
@@ -192,6 +192,29 @@ class TestEvalWorkspace:
             returned.append((out, out.copy()))
         for out, copy in returned:
             assert out.tobytes() == copy.tobytes()
+
+
+class TestExpertRowCount:
+    """A row's expert output, through both products, does not depend on how
+    many rows share the gather once there are two or more. One forward over
+    an expert's activated and seed-pass rows together relies on it. A
+    one-row gather takes another BLAS path and may differ."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([16, 64, 128]), n=st.integers(3, 1100),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dim=16, n=3, seed=0)
+    @example(dim=128, n=1024, seed=1)
+    def test_rows_do_not_depend_on_the_gather_size(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        experts = ExpertMlp.random(dim, dim, 2, rng)
+        x = rng.standard_normal((n, dim))
+        out, (_, pre, _, _) = experts.forward(1, x)
+        for m in (2, int(rng.integers(2, n))):
+            rows = rng.choice(n, m, replace=False)
+            sub_out, (_, sub_pre, _, _) = experts.forward(1, x[rows])
+            assert sub_pre.tobytes() == pre[rows].tobytes()  # x @ w1 + b1
+            assert sub_out.tobytes() == out[rows].tobytes()  # gelu(.) @ w2 + b2
 
 
 class TestMoeBackward:
@@ -445,13 +468,27 @@ class TestCheckpoint:
         ("w_g", "w_g", "w_g"),  # repeated: g would overwrite w_g
     ])
     def test_empty_or_repeated_key_refused(self, rng, tmp_path, w_g_name, g_name, key):
-        w = rng.standard_normal((5, 3))
-        router = RouterParams(w_g=Param(w, name=w_g_name), g=Param(np.zeros(3), name=g_name))
+        # the router names its Params; renamed after construction, they collide
+        router = RouterParams(w_g=Param(rng.standard_normal((5, 3))), g=Param(np.zeros(3)))
+        router.w_g.name, router.g.name = w_g_name, g_name
         layer = MoeLayer(router=router, experts=ExpertMlp.random(5, 4, 3, rng))
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match=f"layer 0: tensor key '{key}' is empty or repeated"):
             save_model(one_layer_model(layer, rng), path)
         assert not path.exists()
+
+    def test_unnamed_params_are_named_by_their_owners(self, rng, tmp_path):
+        w, g = rng.standard_normal((5, 3)), rng.standard_normal(3)
+        layer = MoeLayer(router=RouterParams(w_g=Param(w), g=Param(g)),
+                         experts=ExpertMlp.random(5, 4, 3, rng))
+        model = MoeClassifier([layer], Param(rng.standard_normal((5, 2))), Param(np.zeros(2)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        restored = load_model(path)
+        assert [p.name for p in restored.params()] == [p.name for p in model.params()] == \
+            ["w_out", "b_out", "w_g", "g", "w1", "b1", "w2", "b2"]
+        for p, q in zip(restored.params(), model.params()):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
 
     @settings(max_examples=30, deadline=None)
     @given(router=st.sampled_from(["top_any", "topk"]), n_layers=st.integers(1, 2),

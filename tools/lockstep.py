@@ -11,13 +11,16 @@ workload ``NAME`` (default ``desk-discovery``) from this checkout's
 as the benchmark's worker does (``train_loop``, or ``run_baseline`` for a
 top-k workload). A turn token passed at each tree's ``harness.train_step``
 lets exactly one tree run at a time, so the two alternate step by step and
-share whatever the machine's speed does meanwhile. BLAS is pinned to one
+share whatever the machine's speed does meanwhile. It trains twice: first
+with the parent taking the first step of every pair, then with the tree
+taking it, so that neither order favours one side. BLAS is pinned to one
 thread before numpy loads.
 
-It prints each tree's median and upper-quartile step time, their ratios
-(tree over parent), and whether the final checkpoints (``model_to_doc``,
-serialized as ``save_model`` writes it) are identical. It exits 0 if they
-are, 1 if they differ. Nothing is written into either tree.
+For each order, and for the step times of both orders pooled, it prints
+each tree's median and upper-quartile step time and their ratios (tree over
+parent). Last, it prints whether the final checkpoints (``model_to_doc``,
+serialized as ``save_model`` writes it) are identical in both orders. It
+exits 0 if they are, 1 if they differ. Nothing is written into either tree.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ def load_tree(tree: Path, name: str):
 
 
 class Turns:
-    """A token held by one of two sides at a time. ``swap`` hands it to the
-    other side, unless that side has finished, and waits to get it back."""
+    """A token held by one of two sides at a time, first by side ``lead``.
+    ``swap`` hands it to the other side, unless that side has finished, and
+    waits to get it back."""
 
-    def __init__(self) -> None:
+    def __init__(self, lead: int = 0) -> None:
         self.cond = threading.Condition()
-        self.holder = 0
+        self.holder = lead
         self.finished = [False, False]
 
     def wait(self, side: int) -> None:
@@ -118,12 +122,13 @@ def run_side(side: int, harness, adaptive, spec: dict, turns: Turns, out: dict) 
         turns.finish(side)
 
 
-def lockstep(parent_tree: Path, tree: Path, spec: dict) -> dict:
-    """Train ``spec`` with both trees in alternating steps. Returns, per
-    side (``"parent"``, ``"tree"``), the list of step times in seconds, and
-    ``"identical"``, whether the final checkpoints match byte for byte.
+def lockstep(parent_tree: Path, tree: Path, spec: dict, lead: int = 0) -> dict:
+    """Train ``spec`` with both trees in alternating steps, side ``lead``
+    (0 the parent, 1 the tree) taking the first step of each pair. Returns,
+    per side (``"parent"``, ``"tree"``), the list of step times in seconds,
+    and ``"identical"``, whether the final checkpoints match byte for byte.
     Raises the first side's exception if either side failed."""
-    turns = Turns()
+    turns = Turns(lead)
     outs = [{}, {}]
     threads = []
     for side, (path, name) in enumerate(((parent_tree, "lockstep_parent"),
@@ -160,17 +165,24 @@ def main(argv=None) -> int:
     if args.workload not in workloads:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads)}")
 
-    result = lockstep(args.parent_tree, args.tree, workloads[args.workload])
-    parent, tree = quartiles(result["parent"]), quartiles(result["tree"])
-    print(f"workload {args.workload}: {len(result['parent'])} steps per tree, alternating")
-    for label, path, (median, upper) in (("parent", args.parent_tree, parent),
-                                         ("tree", args.tree, tree)):
-        print(f"{label:6s} {path}: median {median * 1e3:.4f} ms, "
-              f"upper quartile {upper * 1e3:.4f} ms")
-    print(f"ratio tree/parent: median {tree[0] / parent[0]:.4f}, "
-          f"upper quartile {tree[1] / parent[1]:.4f}")
-    print(f"checkpoints: {'identical' if result['identical'] else 'differ'}")
-    return 0 if result["identical"] else 1
+    results = [lockstep(args.parent_tree, args.tree, workloads[args.workload], lead)
+               for lead in (0, 1)]
+    pooled = {side: [t for result in results for t in result[side]] for side in ("parent", "tree")}
+    print(f"workload {args.workload}: {len(results[0]['parent'])} steps per tree and order, "
+          f"alternating")
+    for title, times in (("parent leads", results[0]), ("tree leads", results[1]),
+                         ("both orders", pooled)):
+        parent, tree = quartiles(times["parent"]), quartiles(times["tree"])
+        print(f"{title}:")
+        for label, path, (median, upper) in (("parent", args.parent_tree, parent),
+                                             ("tree", args.tree, tree)):
+            print(f"  {label:6s} {path}: median {median * 1e3:.4f} ms, "
+                  f"upper quartile {upper * 1e3:.4f} ms")
+        print(f"  ratio tree/parent: median {tree[0] / parent[0]:.4f}, "
+              f"upper quartile {tree[1] / parent[1]:.4f}")
+    identical = all(result["identical"] for result in results)
+    print(f"checkpoints: {'identical' if identical else 'differ'}")
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

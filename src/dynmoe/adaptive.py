@@ -91,14 +91,6 @@ class AdaptReport:
     new_k_total: int = 0
     clamped: bool = False  # every expert went unused; the lowest-index one was kept
 
-    def to_dict(self) -> dict:
-        return {
-            "removed_experts": list(self.removed_experts),
-            "added": self.added,
-            "new_k_total": self.new_k_total,
-            "clamped": self.clamped,
-        }
-
 
 def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator) -> AdaptReport:
     """Remove never-activated experts, then add one if tokens went unserved.

@@ -48,6 +48,9 @@ FLAG_KEYS = {
     "k": ("router", "top_k"),
 }
 
+# the files of a run directory, as write_run_dir writes them
+RUN_FILES = ("metrics.csv", "adapt.jsonl", "config.snapshot", "checkpoint.final", "artifacts.json")
+
 # metric of metrics.csv -> (its report table, the table's value columns);
 # a metric with an ``expert`` column gets one line per expert
 REPORT_TABLES = {
@@ -90,19 +93,19 @@ def load_spec(args) -> RunSpec:
             raise ConfigError(f"--{dest.replace('_', '-')} sets {section}.{key}, "
                               f"but {args.config} sets {section} to null")
         if isinstance(part, dict):
-            if key == "kind" and part.get("kind", value) != value:
-                part = {}  # the file's top-k sizes go with the kind the flag replaces
             doc[section] = {**part, key: value}
     return parse_config_doc(doc, origin=str(args.config))
 
 
-def checked_dir(label: str, path, *inside: str) -> Path:
-    """``path``, checked before any work with the directories ``inside`` it
-    that the command will make: each, and each of its parents that exists,
-    must be a directory."""
+def checked_out(label: str, path, files) -> Path:
+    """``path``, checked before any work with the ``files`` the command will
+    write under it: none may exist as a directory, and the nearest existing
+    parent of each must be a directory."""
     path = Path(path)
-    for made in (path, *(path / name for name in inside)):
-        existing = next(p for p in (made, *made.parents) if p.exists())
+    for written in (path / name for name in files):
+        if written.is_dir():
+            raise IsADirectoryError(f"{label} {path}: {written} is a directory")
+        existing = next(p for p in written.parents if p.exists())
         if not existing.is_dir():
             raise NotADirectoryError(f"{label} {path}: {existing} is not a directory")
     return path
@@ -119,7 +122,7 @@ def _train(spec: RunSpec, outdir: Path) -> RunResult:
 
 
 def cmd_train(args) -> int:
-    outdir = checked_dir("--out", args.out or "runs/train")
+    outdir = checked_out("--out", args.out or "runs/train", RUN_FILES)
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} mean_k={result.mean_k:.3f} "
           f"n_experts={sum(result.k_trajectory[-1][1])}")
@@ -129,7 +132,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    outdir = checked_dir("--out", args.out or f"runs/baseline_K{args.K}_k{args.k}")
+    outdir = checked_out("--out", args.out or f"runs/baseline_K{args.K}_k{args.k}", RUN_FILES)
     result = _train(load_spec(args), outdir)
     print(f"final_accuracy={result.final_accuracy:.4f} K={args.K} k={args.k}")
     print(f"run_dir={outdir}")
@@ -139,7 +142,7 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     """Score a checkpoint on the held-out rows of the config's task: the rows
     the training run evaluated on, never the ones it trained on."""
-    outdir = checked_dir("--out", args.out or "runs/eval")
+    outdir = checked_out("--out", args.out or "runs/eval", ["metrics.csv", "artifacts.json"])
     ckpt = Path(args.checkpoint)
     if not ckpt.is_file():
         print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
@@ -174,7 +177,9 @@ def cmd_report(args) -> int:
     if not run_dirs:
         print("error: no metrics found", file=sys.stderr)
         return 2
-    outdir = checked_dir("report directory", logdir / "report")
+    outdir = checked_out("report directory", logdir / "report",
+                         [*(name for name, _ in REPORT_TABLES.values()), "k_trajectory.csv",
+                          "similarity.json"])
 
     logs = []  # (run name, its metrics log)
     k_trajectories = {}
@@ -217,7 +222,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    outdir = checked_dir("--out", args.out or "runs/sweep", "dynmoe")
+    outdir = checked_out("--out", args.out or "runs/sweep",
+                         ["comparison.csv", *(f"dynmoe/{name}" for name in RUN_FILES)])
     spec = load_spec(args)
     task = gen_task(**asdict(spec.task))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--max-experts", type=int, default=None, dest="max_experts")
     p_train.add_argument("--check-interval", type=int, default=None, dest="check_interval")
     p_train.add_argument("--aux-weight", type=float, default=None, dest="aux_weight")
-    p_train.add_argument("--router", choices=["dynmoe", "topk"], default=None)
     p_train.set_defaults(handler=cmd_train)
 
     p_base = sub.add_parser("baseline", help="train a fixed top-k baseline")
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--K", type=int, required=True)
     p_base.add_argument("--k", type=int, required=True)
     add_common(p_base)
-    # a baseline is a top-k run: router.kind is written like a --router flag
+    # a baseline is a top-k run: router.kind is written like a flag
     p_base.set_defaults(handler=cmd_baseline, router="topk")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the task of a config file")
@@ -292,7 +297,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, CheckpointError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -482,7 +482,7 @@ def evaluate(model: MoeClassifier, tokens, labels):
     """Accuracy plus per-layer routing statistics under eval-mode routing."""
     logits, caches, _ = model.forward(tokens, mode="eval")
     accuracy = _accuracy(logits, labels)
-    stats = [PassStats.from_decisions([cache[1]]) for cache in caches]
+    stats = [PassStats.from_decisions(cache[1]) for cache in caches]
     return accuracy, stats, caches
 
 
@@ -559,7 +559,7 @@ def _run(task: SyntheticTask, cfg: TrainConfig, new_router) -> RunResult:
                 keep = [e for e in range(prev_k) if e not in report.removed_experts]
                 for p, axis in layer.expert_indexed():
                     opt.resize(p, keep, int(report.added), axis)
-                event = {"step": step, "layer": li, **report.to_dict()}
+                event = {"step": step, "layer": li, **asdict(report)}
                 adapt_events.append(event)
                 metrics.append(
                     step, li, "adapt_event",

@@ -301,9 +301,9 @@ def moe_backward(
     (eval-mode or bare router decisions) this raises ``ValueError``. The
     top-any eval fallback would also break the mask/threshold relation the
     straight-through rule relies on. Expert weight gradients flow through
-    the cached activated pairs scaled by their combine weights. The router also gets the dots of the pairs it names in
-    ``unactivated_pairs``, from one forward-only pass per expert over
-    exactly those rows.
+    the cached activated pairs scaled by their combine weights. The router
+    also gets the dots of the pairs it names in ``unactivated_pairs``, from
+    one forward-only pass per expert over exactly those rows.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)

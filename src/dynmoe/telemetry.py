@@ -37,25 +37,14 @@ class PassStats:
     k_total: int
 
     @classmethod
-    def from_decisions(cls, decisions: Iterable) -> "PassStats":
-        decisions = list(decisions)
-        if not decisions:
-            raise ValueError("empty evaluation pass")
-        n_experts = decisions[0].mask.shape[1]
-        counts = np.zeros(n_experts, dtype=np.int64)
-        hist = np.zeros(n_experts + 1, dtype=np.int64)
-        n_tokens = 0
-        k_total = 0
-        for dec in decisions:
-            if dec.mask.shape[1] != n_experts:
-                raise ValueError("mixed expert counts within one pass")
-            counts += dec.mask.sum(axis=0).astype(np.int64)
-            hist += np.bincount(dec.k, minlength=n_experts + 1).astype(np.int64)
-            n_tokens += dec.mask.shape[0]
-            k_total += int(dec.k.sum())
+    def from_decisions(cls, dec) -> "PassStats":
+        """The counters of one evaluation pass's routing decision ``dec``."""
+        n_tokens, n_experts = dec.mask.shape
         if n_tokens == 0:
             raise ValueError("evaluation pass contained zero tokens")
-        stats = cls(counts=counts, hist=hist, n_tokens=n_tokens, k_total=k_total)
+        stats = cls(counts=dec.mask.sum(axis=0).astype(np.int64),
+                    hist=np.bincount(dec.k, minlength=n_experts + 1).astype(np.int64),
+                    n_tokens=n_tokens, k_total=int(dec.k.sum()))
         # Exact-accounting identities, checked before any float division.
         assert int(stats.counts.sum()) == stats.k_total
         assert int(stats.hist.sum()) == stats.n_tokens

@@ -297,7 +297,7 @@ class TestCriterion8TelemetryIdentities:
             model = res.model
             logits, caches, _ = model.forward(task.tokens[:1024], mode="eval")
             for _, dec in caches:
-                stats = PassStats.from_decisions([dec])
+                stats = PassStats.from_decisions(dec)
                 # exact integer accounting
                 assert int(stats.counts.sum()) == stats.k_total
                 assert int(stats.hist.sum()) == stats.n_tokens

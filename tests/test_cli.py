@@ -3,6 +3,7 @@ import json
 import hashlib
 import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -308,7 +309,7 @@ class TestCli:
         assert main(["baseline", str(cfg), "--K", "3", "--k", "2", "--out", str(out)]) == 0
         assert (out / "checkpoint.final").is_file()
 
-    def test_train_topk_router_flag(self, tmp_path):
+    def test_train_topk_router_section(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
             router={"kind": "topk", "n_experts": 3, "top_k": 1},
@@ -319,13 +320,13 @@ class TestCli:
         assert [layer["top_k"] for layer in doc["layers"]] == [1]
 
     def test_weighted_combine_flag(self, tmp_path):
-        # every flag must reach config.snapshot; the file sets router.kind
-        # to topk, so --router dynmoe shows up only if the flag is applied
-        cfg = write_config(tmp_path / "c.json", router={"kind": "topk", "n_experts": 3, "top_k": 1})
-        train_flags = {"seed": 4, "aux_weight": 0.5, "max_experts": 5, "check_interval": 30,
-                       "router": "dynmoe"}
+        # every flag must reach config.snapshot, and so must the router kind
+        # that baseline writes as a flag of its own
+        cfg = write_config(tmp_path / "c.json")
+        train_flags = {"seed": 4, "aux_weight": 0.5, "max_experts": 5, "check_interval": 30}
         baseline_flags = {"K": 4, "k": 2}
-        assert set(train_flags) | set(baseline_flags) == set(FLAG_KEYS)
+        implied = {"router": "topk"}
+        assert set(train_flags) | set(baseline_flags) | set(implied) == set(FLAG_KEYS)
 
         def argv(flags):
             return [a for dest, v in flags.items() for a in (f"--{dest.replace('_', '-')}", str(v))]
@@ -334,15 +335,25 @@ class TestCli:
         assert main(["train", str(cfg), *argv(train_flags), "--out", str(out)]) == 0
         base = tmp_path / "base"
         assert main(["baseline", str(cfg), *argv(baseline_flags), "--out", str(base)]) == 0
-        for run, flags in ((out, train_flags), (base, baseline_flags)):
+        for run, flags in ((out, train_flags), (base, {**baseline_flags, **implied})):
             snapshot = json.loads((run / "config.snapshot").read_text())
             for dest, value in flags.items():
                 section, key = FLAG_KEYS[dest]
                 assert snapshot[section][key] == value, dest
-        assert json.loads((base / "config.snapshot").read_text())["router"]["kind"] == "topk"
+
+    # the router section's unknown key is an error whatever kind the file
+    # names; baseline's flags replace only the keys they set
+    @pytest.mark.parametrize("router", [{"foo": 1}, {"kind": "dynmoe", "foo": 1}],
+                             ids=["no_kind", "dynmoe_kind"])
+    def test_baseline_unknown_router_key_is_a_config_error(self, tmp_path, capsys, router):
+        cfg = write_config(tmp_path / "c.json", router=router)
+        out = tmp_path / "r"
+        assert main(["baseline", str(cfg), "--K", "2", "--k", "1", "--out", str(out)]) == 2
+        assert "unknown key(s): ['router.foo']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--combine", "mean"], ["--init-strategy", "paper_rs"],
-                                      ["--config", "c.json"]])
+                                      ["--config", "c.json"], ["--router", "dynmoe"]])
     def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path / "c.json")
         with pytest.raises(SystemExit) as exc:
@@ -396,12 +407,15 @@ class TestCli:
         assert not (tmp_path / "r").exists()
 
     # where the file stands: at --out, above it, in place of the sweep's
-    # dynmoe/ run, or in place of the report directory
+    # dynmoe/ run, or in place of the report directory; or, for
+    # "written_dir", a directory stands in place of each file that a real
+    # run of the command writes
     @pytest.mark.parametrize("command, where", [
         *((command, where) for command in ("train", "baseline", "sweep", "eval")
           for where in ("file", "under_file")),
         ("sweep", "run_dir_file"),
         ("report", "report_file"),
+        *((command, "written_dir") for command in ("train", "baseline", "sweep", "eval", "report")),
     ], ids=lambda value: value)
     def test_out_that_is_not_a_directory_exits_before_the_run(self, tmp_path, capsys,
                                                              monkeypatch, command, where):
@@ -410,28 +424,44 @@ class TestCli:
         ckpt = tmp_path / "r" / "checkpoint.final"
         if command in ("eval", "report"):
             assert main(["train", str(cfg), "--out", str(ckpt.parent)]) == 0
+        argv = {"train": ["train", str(cfg), "--out"],
+                "baseline": ["baseline", str(cfg), "--K", "3", "--k", "2", "--out"],
+                "sweep": ["sweep", str(cfg), "--out"],
+                "eval": ["eval", str(ckpt), str(cfg), "--out"],
+                "report": ["report"]}[command]
+        label = "report directory " if command == "report" else "--out "
+        if where == "written_dir":
+            out = tmp_path if command == "report" else tmp_path / "out"
+            dest = out / "report" if command == "report" else out
+            assert main([*argv, str(out)]) == 0
+            written = sorted(p.relative_to(dest) for p in dest.rglob("*") if p.is_file())
+            assert written
 
         def no_run(*_, **__):  # every command generates its task or reads its runs first
             raise AssertionError("the run started")
 
         monkeypatch.setattr(cli, "gen_task", no_run)
         monkeypatch.setattr(cli.MetricsLog, "read_csv", no_run)
+        capsys.readouterr()
+        if where == "written_dir":
+            for rel in written:
+                shutil.rmtree(dest)
+                (dest / rel).mkdir(parents=True)
+                assert main([*argv, str(out)]) == 2, rel
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {label}")
+                assert f"{dest / rel} is a directory" in err
+                assert not any(p.is_file() for p in dest.rglob("*"))
+            return
         taken, out = {"file": ("taken", "taken"), "under_file": ("taken", "taken/run"),
                       "run_dir_file": ("out/dynmoe", "out"),
                       "report_file": ("report", ".")}[where]
         taken, out = tmp_path / taken, tmp_path / out
         taken.parent.mkdir(exist_ok=True)
         taken.write_text("kept")
-        argv = {"train": ["train", str(cfg), "--out"],
-                "baseline": ["baseline", str(cfg), "--K", "3", "--k", "2", "--out"],
-                "sweep": ["sweep", str(cfg), "--out"],
-                "eval": ["eval", str(ckpt), str(cfg), "--out"],
-                "report": ["report"]}[command]
-        capsys.readouterr()
         assert main([*argv, str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: report directory " if command == "report"
-                              else "error: --out ")
+        assert err.startswith(f"error: {label}")
         assert f"{taken} is not a directory" in err
         assert taken.read_text() == "kept"
 

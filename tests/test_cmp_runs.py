@@ -23,6 +23,7 @@ def test_checkout_against_itself_is_identical(monkeypatch):
     assert cmp_runs.compare(ROOT, ROOT, runs, demos=["01_top_any_gating.py"]) == []
     assert {"checkpoint.final", "eval/metrics.csv", "eval/artifacts.json",
             "report/k_trajectory.csv", "report/eval_accuracy.csv",
+            "train.stdout", "eval.stdout", "report.stdout",
             "01_top_any_gating.stdout"} <= set(compared)
 
 

@@ -9,16 +9,19 @@ tree (``--tree`` defaults to the checkout holding this script), with BLAS on
 one thread, in a temporary directory. After each ``train`` or ``baseline``
 run, each tree runs ``dynmoe eval`` on its own ``checkpoint.final`` into
 ``eval/``. After every run, each tree runs ``dynmoe report`` on its
-output directory into ``report/``. Last, each tree runs its own copy of
-every demo of ``DEMOS`` and keeps its standard output as
-``demos/<demo>.stdout``. It compares every file the runs write:
-``checkpoint.final``, ``metrics.csv``, ``adapt.jsonl``, ``artifacts.json``,
-``config.snapshot``, the sweep's ``comparison.csv``, the eval's
-``metrics.csv`` and ``artifacts.json``, the report's tables, and the demo
-outputs. It prints the files that differ or exist on one side only, those
-named by an ``--expect FILE`` (repeatable; matched against the end of each
-path, as ``PurePath.match`` does, so ``config.snapshot`` names every run's
-snapshot) apart from the rest. It exits 1 if any file differs that no ``--expect``
+output directory into ``report/``. Each command gets its output paths
+relative to its working directory, so the paths it prints are the same on
+both sides, and its standard output is kept in the output directory as
+``<command>.stdout``. Last, each tree runs its own copy of every demo of
+``DEMOS`` and keeps its standard output as ``demos/<demo>.stdout``. It
+compares every file the runs write: ``checkpoint.final``, ``metrics.csv``,
+``adapt.jsonl``, ``artifacts.json``, ``config.snapshot``, the sweep's
+``comparison.csv``, the eval's ``metrics.csv`` and ``artifacts.json``, the
+report's tables, the commands' standard output and the demo outputs. It
+prints the files that differ or exist on one side only, those named by an
+``--expect FILE`` (repeatable; matched against the end of each path, as
+``PurePath.match`` does, so ``config.snapshot`` names every run's snapshot)
+apart from the rest. It exits 1 if any file differs that no ``--expect``
 names, 0 otherwise. Nothing is written into either tree.
 """
 
@@ -110,14 +113,18 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS, demos=DEMOS) -> list[str]:
             sides = [run_dir / side / "out" for side in ("a", "b")]
             for out in sides:
                 out.parent.mkdir()
-            _both(name, trees, sides, lambda tree, out: [
-                "-m", "dynmoe.cli", args[0], str(config), *args[1:], "--out", str(out)])
+            # each command runs in out.parent, so "out" is its output directory
+            stdouts = {args[0]: _both(name, trees, sides, lambda tree, out: [
+                "-m", "dynmoe.cli", args[0], str(config), *args[1:], "--out", "out"])}
             if args[0] in ("train", "baseline"):
-                _both(f"{name} eval", trees, sides, lambda tree, out: [
-                    "-m", "dynmoe.cli", "eval", str(out / "checkpoint.final"), str(config),
-                    "--out", str(out / "eval")])
-            _both(f"{name} report", trees, sides,
-                  lambda tree, out: ["-m", "dynmoe.cli", "report", str(out)])
+                stdouts["eval"] = _both(f"{name} eval", trees, sides, lambda tree, out: [
+                    "-m", "dynmoe.cli", "eval", "out/checkpoint.final", str(config),
+                    "--out", "out/eval"])
+            stdouts["report"] = _both(f"{name} report", trees, sides,
+                                      lambda tree, out: ["-m", "dynmoe.cli", "report", "out"])
+            for command, outputs in stdouts.items():
+                for out, stdout in zip(sides, outputs):
+                    (out / f"{command}.stdout").write_bytes(stdout)
             differing += [f"{name}/{rel}" for rel in diff_dirs(*sides)]
         sides = [Path(tmp) / "demos" / side for side in ("a", "b")]
         for out in sides:

@@ -12,12 +12,12 @@ like the one below.
 
 import numpy as np
 
-from dynmoe import AdaptConfig, MoeLayer, RoutingRecord, adapt, moe_forward, record
+from dynmoe import AdaptConfig, MoeLayer, RouterParams, RoutingRecord, adapt, moe_forward, record
 
 rng = np.random.default_rng(2)
 
 D, H = 10, 8
-layer = MoeLayer.random(D, H, n_experts=3, rng=rng)
+layer = MoeLayer.around(RouterParams.random(D, 3, rng), H, rng)
 layer.router.g.value[:] = 4.0  # strict thresholds: most tokens go unserved
 print(f"layer starts with {layer.n_experts} experts, thresholds at 4.0")
 

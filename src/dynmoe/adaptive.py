@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import ConfigurationError, DimensionError
+from .router import RouterParams
 
 
 @dataclass
@@ -104,8 +105,13 @@ def adapt(layer, rec: RoutingRecord, cfg: AdaptConfig, rng: np.random.Generator)
     ``ExpertMlp.random`` draws them.
     Both steps take or append one slice along the expert axis of every
     tensor in ``layer.expert_indexed()``. The record is reset either way.
-    ``DimensionError`` if the record does not fit the layer's K and d.
+    ``ConfigurationError`` if the layer's router is not top-any, and
+    ``DimensionError`` if the record does not fit the layer's K and d; either
+    is raised before anything changes.
     """
+    if not isinstance(layer.router, RouterParams):
+        raise ConfigurationError(f"adapt resizes top-any layers only, not a "
+                                 f"{type(layer.router).__name__} layer")
     n_before = layer.n_experts
     if rec.r_e.shape != (n_before,) or rec.r_s.shape != (layer.d,):
         raise DimensionError(f"record of shapes {rec.r_e.shape} and {rec.r_s.shape} does not "

@@ -179,11 +179,6 @@ class MoeLayer:
         return self.experts.n_experts
 
     @classmethod
-    def random(cls, dim: int, hidden: int, n_experts: int, rng: np.random.Generator) -> "MoeLayer":
-        """A top-any layer: a random router, then random experts."""
-        return cls.around(RouterParams.random(dim, n_experts, rng), hidden, rng)
-
-    @classmethod
     def around(cls, router: RouterParams | TopKRouter, hidden: int,
                rng: np.random.Generator) -> "MoeLayer":
         """``router`` and one random expert per router column, drawn from ``rng``."""
@@ -194,8 +189,10 @@ class MoeLayer:
         return [*self.router.params(), *self.experts.params()]
 
     def expert_indexed(self) -> list[tuple[Param, int]]:
-        """Every tensor with an expert axis, paired with that axis: the
-        router's (``w_g`` columns, and ``g``), then the expert tensors."""
+        """Every tensor of a top-any layer with an expert axis, paired with
+        that axis: the router's ``w_g`` columns and ``g``, then the expert
+        tensors. Only ``RouterParams`` lists its tensors; the top-k baseline
+        is never resized."""
         return self.router.expert_indexed() + [(p, 0) for p in self.experts.params()]
 
 

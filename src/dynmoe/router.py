@@ -67,15 +67,12 @@ class Decision:
 
 
 @dataclass(eq=False)
-class RouterParams:
-    """Per-layer routing parameters.
-
-    ``w_g`` holds one representation column per expert (shape d x K) and
-    ``g`` the per-expert activation thresholds (shape K). Both are trained.
-    """
+class Router:
+    """What both routers hold: the trained matrix ``w_g`` (shape d x K), one
+    column per expert. Its Params are named after their fields and checked
+    on construction."""
 
     w_g: Param
-    g: Param
 
     def __post_init__(self) -> None:
         name_params(self)
@@ -84,6 +81,31 @@ class RouterParams:
     def validate(self) -> None:
         if self.w_g.value.ndim != 2:
             raise DimensionError(f"w_g must be 2-d, got shape {self.w_g.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.w_g.value.shape[0]
+
+    @property
+    def n_experts(self) -> int:
+        return self.w_g.value.shape[1]
+
+    def param_count(self) -> int:
+        return sum(p.value.size for p in self.params())
+
+
+@dataclass(eq=False)
+class RouterParams(Router):
+    """Per-layer routing parameters.
+
+    ``w_g`` holds one representation column per expert (shape d x K) and
+    ``g`` the per-expert activation thresholds (shape K). Both are trained.
+    """
+
+    g: Param
+
+    def validate(self) -> None:
+        super().validate()
         if self.g.value.ndim != 1:
             raise DimensionError(f"g must be 1-d, got shape {self.g.shape}")
         if self.w_g.value.shape[1] != self.g.value.shape[0]:
@@ -95,14 +117,6 @@ class RouterParams:
             raise ConfigurationError("router needs at least one expert")
         if not vector_norm(self.w_g.value, axis=0).all():
             raise ConfigurationError("every expert representation column must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return self.w_g.value.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.w_g.value.shape[1]
 
     @classmethod
     def random(cls, dim: int, n_experts: int, rng: np.random.Generator) -> "RouterParams":
@@ -120,9 +134,6 @@ class RouterParams:
 
     def expert_indexed(self) -> list[tuple[Param, int]]:
         return [(self.w_g, 1), (self.g, 0)]
-
-    def param_count(self) -> int:
-        return self.w_g.value.size + self.g.value.size
 
     def route(self, tokens: np.ndarray, mode: str) -> Decision:
         """Top-any routing, with the top-1 fallback in eval mode; the combine
@@ -216,31 +227,17 @@ def route_eval(tokens: np.ndarray, params: RouterParams) -> Decision:
 
 
 @dataclass(eq=False)
-class TopKRouter:
+class TopKRouter(Router):
     """Per-layer parameters of the softmax top-k baseline: a plain linear
     router ``w_g`` (shape d x K), trained, and the fixed number ``top_k`` of
     experts every token runs."""
 
-    w_g: Param
     top_k: int
 
-    def __post_init__(self) -> None:
-        name_params(self)
-        self.validate()
-
     def validate(self) -> None:
-        if self.w_g.value.ndim != 2:
-            raise DimensionError(f"w_g must be 2-d, got shape {self.w_g.shape}")
+        super().validate()
         if type(self.top_k) is not int or not 1 <= self.top_k <= self.n_experts:
             raise ConfigurationError(f"top_k {self.top_k!r} not in [1, {self.n_experts}]")
-
-    @property
-    def dim(self) -> int:
-        return self.w_g.value.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return self.w_g.value.shape[1]
 
     @classmethod
     def random(cls, dim: int, n_experts: int, top_k: int, rng: np.random.Generator) -> "TopKRouter":
@@ -248,12 +245,6 @@ class TopKRouter:
 
     def params(self) -> list[Param]:
         return [self.w_g]
-
-    def expert_indexed(self) -> list[tuple[Param, int]]:
-        return [(self.w_g, 1)]
-
-    def param_count(self) -> int:
-        return self.w_g.value.size
 
     def route(self, tokens: np.ndarray, mode: str) -> Decision:
         """The same selection in both modes. No cosine normalization and no

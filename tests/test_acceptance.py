@@ -24,6 +24,7 @@ from dynmoe.losses import diversity_simplicity_loss
 from dynmoe.moe_layer import MoeLayer, moe_forward
 from dynmoe.numerics import Param, finite_diff_grad
 from dynmoe.router import (
+    RouterParams,
     route_eval,
     route_top_any,
     route_top_any_backward,
@@ -127,7 +128,7 @@ class TestCriterion2SteCorrectness:
         # asserted not to move under each probe
         fd_worst = 0.0
         for _ in range(5):
-            layer = MoeLayer.random(4, 4, 3, rng)
+            layer = MoeLayer.around(RouterParams.random(4, 3, rng), 4, rng)
             tokens = rng.standard_normal((5, 4))
             coeff = rng.standard_normal((5, 4))
             out, dec = moe_forward(layer, tokens)
@@ -203,7 +204,7 @@ class TestCriterion5AdaptiveAddRemove:
     def test_add_scenario(self):
         rng = np.random.default_rng(505)
         d = 12
-        layer = MoeLayer.random(d, 8, 2, rng)
+        layer = MoeLayer.around(RouterParams.random(d, 2, rng), 8, rng)
         layer.router.g.value[:] = 7.0  # nothing activates
 
         center = rng.standard_normal(d)
@@ -231,7 +232,7 @@ class TestCriterion5AdaptiveAddRemove:
 
     def test_remove_scenario(self):
         rng = np.random.default_rng(506)
-        layer = MoeLayer.random(10, 6, 4, rng)
+        layer = MoeLayer.around(RouterParams.random(10, 4, rng), 6, rng)
         probe = rng.standard_normal((60, 10))
         layer.router.g.value[0] = -9.0  # expert 0 catches every token
         layer.router.g.value[1] = 9.0   # expert 1 unreachable

@@ -7,13 +7,13 @@ from dynmoe.adaptive import AdaptConfig, RoutingRecord, adapt, record
 from dynmoe.config import ConfigError, parse_config_doc
 from dynmoe.moe_layer import ExpertMlp, MoeLayer, moe_forward
 from dynmoe.numerics import ConfigurationError, DimensionError
-from dynmoe.router import route_top_any
+from dynmoe.router import RouterParams, TopKRouter, route_top_any
 
 from conftest import rel_err
 
 
 def build_layer(rng, d=6, h=4, n_experts=3):
-    return MoeLayer.random(d, h, n_experts, rng)
+    return MoeLayer.around(RouterParams.random(d, n_experts, rng), h, rng)
 
 
 class TestRecord:
@@ -144,6 +144,24 @@ class TestAdapt:
             adapt(layer, RoutingRecord.fresh(3, layer.d + 1), AdaptConfig(max_experts=8), rng)
         for p, old in zip(layer.params(), before):
             np.testing.assert_array_equal(p.value, old)
+
+    @pytest.mark.parametrize("r_e", [[3, 0, 2], [1, 1, 1]], ids=["unused_expert", "all_used"])
+    def test_top_k_layer_is_refused_untouched(self, rng, r_e):
+        # only a top-any layer is resized: a top-k layer with unserved mass
+        # (and, in the first case, an unused expert) is refused before any
+        # tensor, the record or the generator moves
+        layer = MoeLayer.around(TopKRouter.random(4, 3, 2, rng), 5, rng)
+        rec = RoutingRecord(r_e=np.array(r_e), r_s=np.ones(4))
+        before = [p.value.copy() for p in layer.params()]
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="TopKRouter"):
+            adapt(layer, rec, AdaptConfig(), rng)
+        for p, old in zip(layer.params(), before):
+            np.testing.assert_array_equal(p.value, old)
+        np.testing.assert_array_equal(rec.r_e, r_e)
+        np.testing.assert_array_equal(rec.r_s, np.ones(4))
+        assert rng.bit_generator.state == state
+        layer.validate()
 
     def test_removal_creates_room_for_addition(self, rng):
         layer = build_layer(rng, n_experts=4)

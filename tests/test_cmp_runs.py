@@ -27,6 +27,19 @@ def test_checkout_against_itself_is_identical(monkeypatch):
             "01_top_any_gating.stdout"} <= set(compared)
 
 
+def test_main_counts_the_source_lines_of_both_trees(monkeypatch, capsys):
+    # a checkout against itself: the same count on both sides, the one
+    # wc -l gives for src/dynmoe/*.py
+    n = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "dynmoe").glob("*.py"))
+    assert n > 0 and cmp_runs.src_lines(ROOT) == n
+    monkeypatch.setattr(cmp_runs, "compare", lambda *trees: [])
+    assert cmp_runs.main([str(ROOT), "--tree", str(ROOT)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{len(cmp_runs.RUNS)} runs, {len(cmp_runs.DEMOS)} demos, 0 differing file(s), "
+        "0 unexpected",
+        f"src/dynmoe: {n} -> {n} lines"]
+
+
 def test_diff_dirs_names_changed_and_one_sided_files(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):

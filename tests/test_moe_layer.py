@@ -30,7 +30,7 @@ from conftest import rel_err
 
 
 def build_layer(rng, d=5, h=7, n_experts=3):
-    return MoeLayer.random(d, h, n_experts, rng)
+    return MoeLayer.around(RouterParams.random(d, n_experts, rng), h, rng)
 
 
 def layer_with_router(rng, w, g, d, h):
@@ -142,7 +142,7 @@ class TestMoeForward:
 def layer_of(router, d, h, n_experts, rng):
     """A top-any layer, or a top-k one selecting 1 to K - 1 experts."""
     if router == "top_any":
-        return MoeLayer.random(d, h, n_experts, rng)
+        return MoeLayer.around(RouterParams.random(d, n_experts, rng), h, rng)
     top_k = int(rng.integers(1, n_experts))
     return MoeLayer.around(TopKRouter.random(d, n_experts, top_k, rng), h, rng)
 

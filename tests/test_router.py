@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynmoe.numerics import ConfigurationError, DegenerateInputError, Param, sigmoid
+from dynmoe.numerics import ConfigurationError, DegenerateInputError, DimensionError, Param, sigmoid
 from dynmoe.router import (
     RouterParams,
     TopKRouter,
@@ -38,6 +38,32 @@ def random_router(rng, d, n_experts, threshold_scale=0.5):
     w = Param(rng.standard_normal((d, n_experts)), name="w_g")
     g = Param(threshold_scale * rng.standard_normal(n_experts), name="g")
     return RouterParams(w_g=w, g=g)
+
+
+def _router(kind, w_g, g=(0.0, 0.0, 0.0), top_k=1):
+    if kind == "top_any":
+        return RouterParams(w_g=Param(w_g), g=Param(g))
+    return TopKRouter(Param(w_g), top_k=top_k)
+
+
+@pytest.mark.parametrize("kind, w_g, extra, error", [
+    ("top_any", np.ones(4), {}, DimensionError),
+    ("top_k", np.ones(4), {}, DimensionError),
+    ("top_any", np.ones((4, 3)), {"g": np.zeros((3, 1))}, DimensionError),
+    ("top_any", np.ones((4, 3)), {"g": np.zeros(2)}, DimensionError),
+    ("top_any", np.ones((4, 0)), {"g": np.zeros(0)}, ConfigurationError),
+    ("top_any", np.ones((4, 3)) * [1.0, 0.0, 1.0], {}, ConfigurationError),
+    ("top_k", np.ones((4, 3)), {"top_k": 0}, ConfigurationError),
+    ("top_k", np.ones((4, 3)), {"top_k": 4}, ConfigurationError),
+    ("top_k", np.ones((4, 3)), {"top_k": 2.0}, ConfigurationError),
+], ids=["top_any_1d_w_g", "top_k_1d_w_g", "2d_g", "short_g", "no_expert", "zero_column",
+        "top_k_0", "top_k_K_plus_1", "top_k_float"])
+def test_malformed_router_is_refused_on_construction(kind, w_g, extra, error):
+    # a 1-d w_g, a g that is not one threshold per column, no expert, a
+    # zero column or a top_k outside [1, K] (or not an int) is refused
+    with pytest.raises(error) as caught:
+        _router(kind, w_g, **extra)
+    assert type(caught.value) is error
 
 
 class TestRouteTopAny:

@@ -21,8 +21,10 @@ report's tables, the commands' standard output and the demo outputs. It
 prints the files that differ or exist on one side only, those named by an
 ``--expect FILE`` (repeatable; matched against the end of each path, as
 ``PurePath.match`` does, so ``config.snapshot`` names every run's snapshot)
-apart from the rest. It exits 1 if any file differs that no ``--expect``
-names, 0 otherwise. Nothing is written into either tree.
+apart from the rest, then a summary line, and then each tree's line count
+of ``src/dynmoe/*.py`` as ``src/dynmoe: <parent> -> <tree> lines``. It exits
+1 if any file differs that no ``--expect`` names, 0 otherwise. Nothing is
+written into either tree.
 """
 
 from __future__ import annotations
@@ -138,6 +140,12 @@ def compare(tree_a: Path, tree_b: Path, runs=RUNS, demos=DEMOS) -> list[str]:
     return differing
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the package sources ``src/dynmoe/*.py`` under ``tree``, as
+    ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src" / "dynmoe").glob("*.py"))
+
+
 def split_expected(differing: list[str], expect) -> tuple[list[str], list[str]]:
     """``differing`` split into the paths some pattern of ``expect`` matches
     and the rest."""
@@ -159,6 +167,7 @@ def main(argv=None) -> int:
             print(f"differs ({label}): {rel}")
     print(f"{len(RUNS)} runs, {len(DEMOS)} demos, {len(differing)} differing file(s), "
           f"{len(unexpected)} unexpected")
+    print(f"src/dynmoe: {src_lines(args.parent_tree)} -> {src_lines(args.tree)} lines")
     return 1 if unexpected else 0
 
 

@@ -81,8 +81,9 @@ def write_artifacts(outdir: Path, **fields) -> None:
         json.dumps({"schema": ARTIFACTS_SCHEMA, **fields}, sort_keys=True, indent=2))
 
 
-def load_spec(args) -> RunSpec:
-    """The config file with the command's flags written into it, parsed once."""
+def load_spec(args, runs_dynmoe: bool = False) -> RunSpec:
+    """The config file with the command's flags written into it, parsed once
+    (``runs_dynmoe`` as in :func:`parse_config_doc`)."""
     doc = read_config(args.config)
     for dest, (section, key) in FLAG_KEYS.items():
         value = getattr(args, dest, None)
@@ -94,7 +95,7 @@ def load_spec(args) -> RunSpec:
                               f"but {args.config} sets {section} to null")
         if isinstance(part, dict):
             doc[section] = {**part, key: value}
-    return parse_config_doc(doc, origin=str(args.config))
+    return parse_config_doc(doc, origin=str(args.config), runs_dynmoe=runs_dynmoe)
 
 
 def checked_out(label: str, path, files) -> Path:
@@ -224,7 +225,7 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     outdir = checked_out("--out", args.out or "runs/sweep",
                          ["comparison.csv", *(f"dynmoe/{name}" for name in RUN_FILES)])
-    spec = load_spec(args)
+    spec = load_spec(args, runs_dynmoe=True)
     task = gen_task(**asdict(spec.task))
     outdir.mkdir(parents=True, exist_ok=True)
 

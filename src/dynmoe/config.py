@@ -152,7 +152,9 @@ def _section(cls, raw, where: str, **given):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
+def parse_config_doc(doc, origin: str = "<config>", runs_dynmoe: bool = False) -> RunSpec:
+    """The spec of ``doc``. Only a DynMoE run adapts, so the adapt bounds are
+    checked for router kind ``dynmoe``, or any kind if ``runs_dynmoe`` (sweep)."""
     try:
         if not isinstance(doc, dict):
             raise ConfigError("top level must be an object")
@@ -164,7 +166,8 @@ def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
             raise ConfigError(f"unknown top-level key(s): {unknown}")
         train = _section(TrainConfig, doc.get("train", {}), "train",
                          adapt=_value(doc.get("adapt", {}), AdaptConfig | None, "adapt"))
-        if train.adapt is not None:
+        router = _section(RouterSpec, doc.get("router", {}), "router")
+        if train.adapt is not None and (runs_dynmoe or router.kind == "dynmoe"):
             try:
                 check_adapt_bounds(train.init_experts, train.adapt)
             except ConfigurationError as exc:
@@ -172,7 +175,7 @@ def parse_config_doc(doc, origin: str = "<config>") -> RunSpec:
         return RunSpec(
             task=_section(TaskSpec, doc.get("task", {}), "task"),
             train=train,
-            router=_section(RouterSpec, doc.get("router", {}), "router"),
+            router=router,
             sweep=_section(SweepSpec, doc.get("sweep", {}), "sweep"),
         )
     except ConfigError as exc:

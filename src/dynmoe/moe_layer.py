@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .numerics import DimensionError, Param, name_params
+from .numerics import DimensionError, Param, erf, name_params
 from .router import Decision, RouterParams, TopKRouter
 
 # bench/tracing.py wraps the top-any routing functions under these names; they

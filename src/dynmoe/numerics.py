@@ -8,15 +8,51 @@ test suite uses to audit every one of those hand-derived gradients.
 All arrays are float64 and C-contiguous. Desk-scale sizes (at most a few
 dozen experts, embedding dims in the low hundreds) make denser-than-needed
 computation acceptable whenever it simplifies the code.
+
+This module is the one owner of the package's two scipy ufuncs, ``erf`` (the
+experts' GELU) and ``expit`` (the threshold gate); others import them here.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
+
+_UFUNCS = "scipy.special._special_ufuncs"
+
+
+def _load_erf_expit() -> tuple[np.ufunc, np.ufunc]:
+    """scipy's ``erf`` and ``expit`` from the extension that defines them,
+    loaded by path so that ``scipy.special`` (66 modules) is never imported;
+    a later ``import scipy.special`` finds it in ``sys.modules`` and reuses
+    it. Falls back to ``scipy.special`` where that private extension is
+    missing or lacks the two."""
+    module = sys.modules.get(_UFUNCS)
+    scipy = find_spec("scipy")
+    if module is None and scipy is not None:
+        base = os.path.join(scipy.submodule_search_locations[0], "special", "_special_ufuncs")
+        paths = [base + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(base + suffix)]
+        if paths:
+            loader = ExtensionFileLoader(_UFUNCS, paths[0])
+            try:
+                module = module_from_spec(spec_from_loader(_UFUNCS, loader))
+                loader.exec_module(module)
+            except ImportError:
+                module = None
+    if hasattr(module, "erf") and hasattr(module, "expit"):
+        sys.modules.setdefault(_UFUNCS, module)
+        return module.erf, module.expit
+    from scipy.special import erf, expit
+    return erf, expit
+
+
+erf, expit = _load_erf_expit()
 
 
 class DimensionError(ValueError):

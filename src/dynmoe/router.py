@@ -30,13 +30,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import (
     ConfigurationError,
     DimensionError,
     Param,
     cosine_scores_batch,
+    expit,
     name_params,
     sigmoid,
     vector_norm,

@@ -394,6 +394,11 @@ class TestCli:
         ("train", {"train": {"eval_fraction": 0.5}}),
         ("train", {"train": {"optimizer": {"beta1": 0.9}}}),
         ("sweep", {"router": {"n_experts": 8}}),
+        # a sweep always ends with an adaptive run: its bounds fail before the
+        # first grid cell, whatever the router section says
+        ("sweep", {"train": {"init_experts": 8, "steps": 400}, "adapt": {"max_experts": 4}}),
+        ("sweep", {"train": {"init_experts": 8, "steps": 400}, "adapt": {"max_experts": 4},
+                   **TOPK_ROUTER}),
     ])
     def test_bad_section_exits_before_the_run(self, tmp_path, capsys, command, section):
         cfg = write_config(tmp_path / "c.json", **section)
@@ -464,6 +469,21 @@ class TestCli:
         assert err.startswith(f"error: {label}")
         assert f"{taken} is not a directory" in err
         assert taken.read_text() == "kept"
+
+    # only a DynMoE run adapts: a top-k run takes a starting K above max_experts
+    @pytest.mark.parametrize("command, router", [
+        (["baseline", "--K", "3", "--k", "2"], {}),
+        (["train"], TOPK_ROUTER),
+    ], ids=["baseline", "train_topk"])
+    def test_topk_run_ignores_adapt_bounds(self, tmp_path, command, router):
+        cfg = write_config(tmp_path / "c.json", adapt={"max_experts": 4}, **router,
+                           train={"steps": 20, "eval_every": 10, "hidden": 8,
+                                  "init_experts": 8, "batch_size": 16})
+        out = tmp_path / "r"
+        assert main([command[0], str(cfg), *command[1:], "--out", str(out)]) == 0
+        snapshot = json.loads((out / "config.snapshot").read_text())
+        assert snapshot["train"]["init_experts"] == 8 and snapshot["adapt"]["max_experts"] == 4
+        assert snapshot["router"]["kind"] == "topk"
 
     def test_adapt_flag_with_adapt_null_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", adapt=None)

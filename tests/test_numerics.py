@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from importlib.machinery import ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynmoe import numerics
 from dynmoe.numerics import (
     DegenerateInputError,
     DimensionError,
@@ -193,3 +199,82 @@ class TestVectorNorm:
         m = np.atleast_2d(m)
         r = m.ravel()
         assert math.sqrt(r.dot(r)) == float(np.linalg.norm(m))
+
+
+def ufunc_draw() -> np.ndarray:
+    """A fixed draw for the scipy ufuncs: signed zeros, infinities, NaN,
+    subnormals, the normal-range edge and |x| up to 40."""
+    rng = np.random.default_rng(2024)
+    tiny = np.finfo(np.float64).tiny
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny, -tiny,
+                         tiny * (1 - 2**-52), 40.0, -40.0])
+    signs = rng.choice([-1.0, 1.0], size=20_000)
+    return np.concatenate([
+        specials,
+        rng.uniform(-40.0, 40.0, size=50_000),
+        rng.standard_normal(50_000),
+        signs * rng.uniform(0.0, tiny, size=20_000),            # subnormals
+        signs * 10.0 ** rng.uniform(-308.0, math.log10(40.0), size=20_000),
+    ])
+
+
+def extension_has_ufuncs() -> bool:
+    """Whether scipy has the extension ``numerics`` loads by path, holding
+    both ufuncs; without it ``numerics`` takes them from ``scipy.special``."""
+    try:
+        from scipy.special import _special_ufuncs
+    except ImportError:
+        return False
+    return hasattr(_special_ufuncs, "erf") and hasattr(_special_ufuncs, "expit")
+
+
+class TestScipyUfuncs:
+    """``numerics`` loads scipy's ``erf`` and ``expit`` without importing
+    ``scipy.special``; they must be scipy's own ufuncs."""
+
+    def test_bit_identical_to_scipy_special(self):
+        import scipy.special
+
+        x = ufunc_draw()
+        for ours, theirs in ((numerics.erf, scipy.special.erf),
+                             (numerics.expit, scipy.special.expit)):
+            assert ours(x).tobytes() == theirs(x).tobytes()
+        # one extension in the process: importing scipy.special after the
+        # loader reuses it (the fallback takes these very objects)
+        assert numerics.erf is scipy.special.erf
+        assert numerics.expit is scipy.special.expit
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        if not extension_has_ufuncs():
+            pytest.skip("no scipy.special._special_ufuncs with erf and expit: the "
+                        "fallback imports scipy.special")
+        code = ("import sys, dynmoe.cli, dynmoe.harness\n"
+                "from dynmoe import numerics\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "import scipy.special\n"
+                "print(numerics.erf is scipy.special.erf, numerics.expit is scipy.special.expit)\n")
+        src = str(Path(numerics.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out == ["['scipy.special._special_ufuncs']", "True True"]
+
+    class BrokenLoader(ExtensionFileLoader):
+        def create_module(self, spec):
+            raise ImportError("the extension does not load")
+
+    @pytest.mark.parametrize("miss", ["no_scipy_spec", "no_extension_file", "load_fails"])
+    def test_falls_back_to_scipy_special(self, monkeypatch, miss):
+        import scipy.special
+
+        monkeypatch.delitem(sys.modules, numerics._UFUNCS, raising=False)
+        if miss == "no_scipy_spec":
+            monkeypatch.setattr(numerics, "find_spec", lambda name: None)
+        elif miss == "no_extension_file":
+            monkeypatch.setattr(numerics, "EXTENSION_SUFFIXES", [".missing.so"])
+        else:
+            monkeypatch.setattr(numerics, "ExtensionFileLoader", self.BrokenLoader)
+        erf, expit = numerics._load_erf_expit()
+        assert erf is scipy.special.erf and expit is scipy.special.expit
+        assert numerics._UFUNCS not in sys.modules  # nothing was loaded by path
